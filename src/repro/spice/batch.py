@@ -10,17 +10,18 @@ and advances them through one vectorised Newton loop:
 * the per-sample linear bases become a ``(B, n, n)`` stack, sliced to
   the live rows once per step and copied per iterate (the batched twin
   of the scalar plan's ``np.copyto`` from its cached base);
-* the nonlinear companion values are computed by *group fillers* —
-  one vectorised evaluator per element class over ``(L, E)`` arrays,
-  with the MOSFET model's three finite-difference probes stacked on a
-  leading axis so the magnitude model runs once per iterate — and
+* the nonlinear companion values are computed by the grouped device
+  kernels of :mod:`repro.spice.devices` — one vectorised evaluator per
+  element class over ``(L, E)`` arrays, with the MOSFET model's three
+  finite-difference probes stacked on a leading axis so the magnitude
+  model runs once per iterate — and
   scattered into the matrix stack over precomputed row-offset flat
   indices, stable-partitioned into a unique-destination prefix (plain
   fancy ``+=``, no collision possible) and a shared-destination
   remainder (unbuffered ``np.add.at``, which preserves each cell's
   accumulation order; see below);
 * the linear solve loops LAPACK's fused factor+solve over the rows
-  whose matrix changed (:func:`repro.spice.linalg.solve_fresh_row`)
+  whose matrix changed (:func:`repro.spice.linalg.solve_fresh_row_t`)
   and the plain substitution over rows with valid cached factors;
   substitution stays per-sample because a vectorised triangular solve
   would change BLAS reduction order.  Checking for factor reuse costs
@@ -34,20 +35,10 @@ and advances them through one vectorised Newton loop:
   hit would have, and the skip is invisible in the results.
 
 **Bit-identity contract.**  Converged batch samples are bit-identical
-to scalar ``simulate_transient`` runs because every elementwise IEEE
-operation (add, subtract, multiply, divide, abs, compare, select) is
-applied to the same operand pairs in the same order as the scalar
-plan, and transcendentals (``exp``, ``10**x``, ``x**a``) are routed
-through the *same libm calls* via per-element loops — numpy's SIMD
-``np.exp``/``np.power`` differ from libm in the last ulp, so they are
-never used on the value path.  Branches become either ``np.where``
-selections (both arms exception-free, NaN following the scalar branch
-form) or mask partitions (``np.nonzero`` gather / compute / scatter)
-where one arm must not be evaluated out of domain.  Stacking the three
-MOSFET probes is bit-safe because the magnitude model is elementwise:
-the vds-derived subterms the scalar code shares between the operating
-point and the gate probe are recomputed from identical inputs, which
-yields identical bits.  The companion scatter *is* the scalar plan's
+to scalar ``simulate_transient`` runs because the device kernels write
+the scalar plan's companion-value bits (the contract of
+:mod:`repro.spice.devices`, which the scalar plan itself relies on for
+large circuits).  The companion scatter *is* the scalar plan's
 ``np.add.at``, batched: each live row's frozen in-row indices are
 offset by the row's stride into the raveled stack, so the scatter
 replays every sample's duplicate-preserving add sequence — same
@@ -85,9 +76,7 @@ the shared ``spice.lu.*`` and ``spice.newton.iterations`` instruments.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import logging
-import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,13 +86,13 @@ from repro.analysis.effects import deterministic_under_seed
 from repro.errors import ReproError, SimulationError
 from repro.exec.supervise import tick as _supervision_tick
 from repro.spice import linalg
+from repro.spice.devices import build_device_groups
 from repro.spice.elements import Diode, Switch, VoltageSource
 from repro.spice.mna import MnaSystem
-from repro.spice.mosfet import _FD_STEP, MosfetElement
+from repro.spice.mosfet import MosfetElement
 from repro.spice.netlist import Circuit
 from repro.spice.recovery import DEFAULT_RECOVERY, RecoveryConfig
-from repro.spice.stampplan import (_LINEAR_TYPES, _mosfet_constants,
-                                   resolve_backend, SPARSE_AUTO_THRESHOLD,
+from repro.spice.stampplan import (resolve_backend, SPARSE_AUTO_THRESHOLD,
                                    StampPlan, stamping_order)
 from repro.spice.transient import (_DAMP_LIMIT, _MAX_NEWTON, _NEWTON_BUCKETS,
                                    _V_TOL, _initial_state, _validate_time_grid,
@@ -125,58 +114,9 @@ class _BatchUnsupported(Exception):
 #: for the content-key compare (see ``BatchStampPlan._solve_rows``).
 _LU_TRIAL = 2048
 
-
-# -- libm routing --------------------------------------------------------------
-#
-# numpy's vectorised exp/power use SIMD kernels that differ from libm
-# in the last ulp on this platform; the scalar fast path calls
-# math.exp / float.__pow__.  Bit-identity therefore requires looping
-# transcendentals through the exact same libm entry points.  map() at
-# C speed over tolist() floats beats a Python-level comprehension by
-# ~30% at these sizes; math.pow and float.__pow__ both call libm pow
-# on finite positive bases (verified bit-equal on this platform).
-
-def _libm_exp(values: np.ndarray) -> np.ndarray:
-    lst = values.tolist()
-    return np.fromiter(map(math.exp, lst), dtype=float, count=len(lst))
-
-
-try:
-    # scipy's expit computes 1/(1+exp(-x)) through the same libm exp
-    # as the scalar sigmoid — bit-identical on the switch's (-40, 40)
-    # mid branch (verified on this platform over 250k points), at one
-    # C call instead of a Python-level map.
-    from scipy.special import expit as _expit
-except ImportError:  # pragma: no cover - the CI image ships scipy
-    _expit = None
-
-
-def _libm_pow10(values: np.ndarray) -> np.ndarray:
-    lst = values.tolist()
-    return np.fromiter(map(math.pow, itertools.repeat(10.0), lst),
-                       dtype=float, count=len(lst))
-
-
-def _libm_pow(bases: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    lst = bases.tolist()
-    return np.fromiter(map(math.pow, lst, exponents.tolist()),
-                       dtype=float, count=len(lst))
-
-
-def _gather_cols(names: Sequence[str], index: Callable[[str], int],
-                 pad: int) -> np.ndarray:
-    """Column gather indices for one terminal across a group (ground
-    maps to the pad column, which is pinned to 0.0)."""
-    cols = np.empty(len(names), dtype=np.intp)
-    for j, node in enumerate(names):
-        idx = index(node)
-        cols[j] = idx if idx >= 0 else pad
-    return cols
-
-
-def _const_stack(grids: List[List[List[float]]]) -> np.ndarray:
-    """A (K, B, E) constant stack from per-constant per-sample grids."""
-    return np.array(grids, dtype=float)
+#: The batch runs recovery rung 0 only, whose gmin is the transient's
+#: fixed one (``repro.spice.transient._solve_point``).
+_GMIN = 1e-12  # noqa: L101 - gmin, siemens
 
 
 def _scatter_keep(idx: np.ndarray, limit: Optional[int] = None
@@ -220,326 +160,6 @@ def _split_unique(slot: np.ndarray, sign: np.ndarray, dst: np.ndarray
     order = np.concatenate([np.nonzero(uniq)[0], np.nonzero(~uniq)[0]])
     return (np.asarray(slot)[order], np.asarray(sign)[order],
             dst[order], int(np.count_nonzero(uniq)))
-
-
-class _DiodeGroup:
-    """Vectorised twin of StampPlan._compile_diode across (L, E)."""
-
-    def __init__(self, grid: List[List[Diode]], index, pad: int,
-                 slots: List[int]) -> None:
-        row0 = grid[0]
-        self.a_cols = _gather_cols([e.anode for e in row0], index, pad)
-        self.c_cols = _gather_cols([e.cathode for e in row0], index, pad)
-        self.s_g = np.array(slots, dtype=np.intp)
-        self.s_res = self.s_g + 1
-        # The clamp branch recomputes exp(v_clip/v_t) from constants
-        # every scalar call; hoisting it is bit-safe (same libm call,
-        # same argument, every time).
-        self.consts = _const_stack([
-            [[e.i_sat for e in row] for row in grid],
-            [[e.v_t for e in row] for row in grid],
-            [[e.v_clip for e in row] for row in grid],
-            [[e.i_sat * math.exp(e.v_clip / e.v_t) / e.v_t for e in row]
-             for row in grid],                               # g_clip
-            [[e.i_sat * (math.exp(e.v_clip / e.v_t) - 1.0) for e in row]
-             for row in grid]])                              # i_clip
-
-    def fill(self, xpad: np.ndarray, vals: np.ndarray,
-             c: np.ndarray) -> None:
-        i_sat, v_t, v_clip, g_clip, i_clip = c
-        v = xpad[:, self.a_cols] - xpad[:, self.c_cols]
-        g = np.empty_like(v)
-        i = np.empty_like(v)
-        vr, gr, ir = v.ravel(), g.ravel(), i.ravel()
-        clip = (v <= v_clip).ravel()
-        lo = np.nonzero(clip)[0]
-        if lo.size:
-            vtf = v_t.reshape(-1)[lo]
-            isf = i_sat.reshape(-1)[lo]
-            e = _libm_exp(vr[lo] / vtf)
-            ir[lo] = isf * (e - 1.0)
-            gr[lo] = isf * e / vtf
-        hi = np.nonzero(~clip)[0]
-        if hi.size:
-            gc = g_clip.reshape(-1)[hi]
-            gr[hi] = gc
-            ir[hi] = (i_clip.reshape(-1)[hi]
-                      + gc * (vr[hi] - v_clip.reshape(-1)[hi]))
-        vals[:, self.s_g] = g
-        vals[:, self.s_res] = i - g * v
-
-
-class _SwitchGroup:
-    """Vectorised twin of StampPlan._compile_switch across (L, E)."""
-
-    def __init__(self, grid: List[List[Switch]], index, pad: int,
-                 slots: List[int]) -> None:
-        row0 = grid[0]
-        self.cp_cols = _gather_cols([e.ctrl_p for e in row0], index, pad)
-        self.cn_cols = _gather_cols([e.ctrl_n for e in row0], index, pad)
-        self.s_g = np.array(slots, dtype=np.intp)
-        self.consts = _const_stack([
-            [[e.threshold for e in row] for row in grid],
-            [[e.transition for e in row] for row in grid],
-            [[e.g_off for e in row] for row in grid],
-            [[e.g_on - e.g_off for e in row] for row in grid]])  # g_span
-        self._scratch: Dict[int, Dict[str, np.ndarray]] = {}
-
-    def _buffers(self, live: int, e_all: int) -> Dict[str, np.ndarray]:
-        s = self._scratch.get(live)
-        if s is None:
-            d2 = (live, e_all)
-            s = {"cp": np.empty(d2), "cn": np.empty(d2),
-                 "frac": np.empty(d2),
-                 "hi": np.empty(d2, dtype=bool), "lo": np.empty(d2, bool)}
-            self._scratch[live] = s
-        return s
-
-    def fill(self, xpad: np.ndarray, vals: np.ndarray,
-             c: np.ndarray) -> None:
-        threshold, transition, g_off, g_span = c
-        live = xpad.shape[0]
-        s = self._buffers(live, self.cp_cols.shape[0])
-        cp = xpad.take(self.cp_cols, axis=1, out=s["cp"])
-        cn = xpad.take(self.cn_cols, axis=1, out=s["cn"])
-        arg = np.subtract(cp, cn, out=cp)
-        np.subtract(arg, threshold, out=arg)
-        np.divide(arg, transition, out=arg)
-        ar = arg.ravel()
-        hi = np.greater(ar, 40, out=s["hi"].reshape(-1))
-        lo = np.less(ar, -40, out=s["lo"].reshape(-1))
-        # bool->float casts hi to exactly 1.0 and everything else to
-        # 0.0 (the scalar's deep-off value); mid cells are overwritten.
-        frac = s["frac"].reshape(-1)
-        np.copyto(frac, hi, casting="unsafe")
-        np.logical_or(hi, lo, out=hi)
-        np.logical_not(hi, out=hi)
-        mid = hi.nonzero()[0]
-        if mid.size:
-            if _expit is not None:
-                frac[mid] = _expit(ar[mid])
-            else:
-                e = _libm_exp(-ar[mid])
-                frac[mid] = 1.0 / (1.0 + e)
-        frac2 = s["frac"]
-        np.multiply(g_span, frac2, out=frac2)
-        np.add(g_off, frac2, out=frac2)
-        vals[:, self.s_g] = frac2
-
-
-class _MosfetGroup:
-    """Vectorised twin of StampPlan._compile_mosfet across (L, E).
-
-    Both polarities share one group: columns are ordered NMOS-first,
-    and the direction dispatch collapses to a single compare by giving
-    every column a ``(lhs, rhs)`` operand pair — drain/source for
-    NMOS, source/drain for PMOS — so ``cond = lhs >= rhs`` reproduces
-    each polarity's branch condition and one ``np.where`` selects each
-    branch's operand pair.  The three probe evaluations (operating
-    point, drain probe, gate probe) are stacked on a leading axis so
-    the magnitude model runs *once* per iterate over a (3, L*E) view.
-    Stacking is bit-safe because the magnitude model is elementwise:
-    the vds-derived subterms the scalar code shares between the
-    operating point and the gate probe (both use the operating-point
-    vds) are recomputed from identical inputs, which yields identical
-    bits.
-    """
-
-    def __init__(self, grid: List[List[MosfetElement]], index, pad: int,
-                 slots: List[int], nmos_flags: List[bool]) -> None:
-        order = ([j for j, f in enumerate(nmos_flags) if f]
-                 + [j for j, f in enumerate(nmos_flags) if not f])
-        self.kn = sum(nmos_flags)
-        row0 = [grid[0][j] for j in order]
-        self.d_cols = _gather_cols([e.drain for e in row0], index, pad)
-        self.g_cols = _gather_cols([e.gate for e in row0], index, pad)
-        self.s_cols = _gather_cols([e.source for e in row0], index, pad)
-        s = np.array([slots[j] for j in order], dtype=np.intp)
-        self.s_gd = s
-        self.s_gm = s + 1
-        self.s_res = s + 2
-        # Reversed-mode flag per column: NMOS current is negated when
-        # the device is reversed (~cond), PMOS when it is *forward*
-        # (cond), so neg = cond XOR (column is NMOS).
-        self._flip = np.zeros(len(order), dtype=bool)
-        self._flip[:self.kn] = True
-        # Constant order mirrors _mosfet_constants: vth0, dibl, alpha,
-        # swing, vt_thermal, five_vt, vth_at_ioff, sub_scale,
-        # drive_width.
-        per_sample = [[_mosfet_constants(row[j]) for j in order]
-                      for row in grid]
-        self.consts = _const_stack([
-            [[consts[k] for consts in row] for row in per_sample]
-            for k in range(9)])
-        # Per-live-count scratch buffers: the fill runs once per Newton
-        # iterate, so reusing output buffers (via ufunc ``out=`` /
-        # ``np.copyto`` forms that compute the identical values) keeps
-        # ~25 short-lived allocations per iterate out of the hot loop.
-        self._scratch: Dict[int, Dict[str, np.ndarray]] = {}
-
-    def _buffers(self, live: int, e_all: int) -> Dict[str, np.ndarray]:
-        s = self._scratch.get(live)
-        if s is None:
-            d2 = (live, e_all)
-            d3 = (3, live, e_all)
-            s = {name: np.empty(d2) for name in
-                 ("vd", "vg", "vs", "dpf", "u0", "u1", "gd", "gm", "ta",
-                  "tb")}
-            s.update({name: np.empty(d3) for name in
-                      ("u", "dd", "w", "gg", "t1", "t2", "t3", "t4")})
-            s.update({name: np.empty(d3, dtype=bool) for name in
-                      ("neg", "cond", "mask")})
-            self._scratch[live] = s
-        return s
-
-    def _magnitude(self, vgs: np.ndarray, vds: np.ndarray,
-                   c: np.ndarray, s: Dict[str, np.ndarray]) -> np.ndarray:
-        """Channel-current magnitude over the (3, L*E) probe stack.
-
-        ``c`` rows are flat (L*E,) constants that broadcast over the
-        probe axis; partition gathers recover the element column of a
-        flat index with ``% lf``.  Writes flow through the (3, L*E)
-        scratch views in ``s``; every rewritten expression performs
-        the scalar sequence of IEEE operations on the same operands.
-        """
-        (vth0, dibl, alpha, swing, vt_thermal, five_vt, vth_at_ioff,
-         sub_scale, drive_width) = c
-        lf = vds.shape[1]
-        sh = vds.shape
-        vth = s["t1"].reshape(sh)
-        vod = s["t2"].reshape(sh)
-        vgs_c = s["t3"].reshape(sh)
-        tmp = s["t4"].reshape(sh)
-        mask = s["mask"].reshape(sh)
-        # The caller's vds is already |drain - source| (>= +0.0), so
-        # the scalar model's abs() is the identity here, to the bit.
-        np.multiply(dibl, vds, out=vth)
-        np.subtract(vth0, vth, out=vth)
-        # where(vth > 0.05, vth, 0.05): np.maximum picks the same value
-        # for every comparable pair; NaN disagreement is unreachable
-        # because a NaN voltage NaNs vgs/vod too, so the sample's
-        # currents are NaN either way (and the sample gets ejected).
-        np.maximum(vth, 0.05, out=vth)
-        np.subtract(vgs, vth, out=vod)
-        # where(vth < vgs, vth, vgs), same minimum/where equivalence
-        vgs_c = np.minimum(vth, vgs, out=vgs_c)
-        np.subtract(vth, vth_at_ioff, out=tmp)
-        exponent = np.subtract(vgs_c, tmp, out=vgs_c)
-        np.divide(exponent, swing, out=exponent)
-        i_sub = _libm_pow10(exponent.ravel()).reshape(sh)
-        np.multiply(sub_scale, i_sub, out=i_sub)
-        # Short-channel flag (vds < five_vt): probe 2 bumps the gate
-        # only, so vds[2] is vds[0] bit-for-bit and probe 2's flag set
-        # and exp factors equal probe 0's exactly — evaluate libm exp
-        # on probes {0, 1} and replay probe 0's factors onto probe 2.
-        np.less(vds[:2], five_vt, out=mask[:2])
-        flag01 = mask[:2].ravel().nonzero()[0]
-        if flag01.size:
-            args = (-vds.ravel()[flag01]) / vt_thermal[flag01 % lf]
-            fac = 1.0 - _libm_exp(args)
-            i_sub.ravel()[flag01] *= fac
-            k0 = int(np.searchsorted(flag01, lf))
-            if k0:
-                i_sub[2].ravel()[flag01[:k0]] *= fac[:k0]
-        # Weak-inversion elements carry i_sub through unchanged; the
-        # strong-element subthreshold leak is gathered *before* the
-        # in-place rewrite, so ``m`` can alias ``i_sub``.
-        m = i_sub
-        mr = m.ravel()
-        np.greater(vod, 0, out=mask)
-        st = mask.ravel().nonzero()[0]
-        if st.size:
-            col = st % lf
-            vod_s = vod.ravel()[st]
-            vds_s = vds.ravel()[st]
-            i_sub_s = mr[st]
-            i_dsat = drive_width[col] * _libm_pow(vod_s, alpha[col])
-            # where(vdsat > 0.05, vdsat, 0.05): the st set has vod > 0,
-            # so vdsat is finite and maximum picks the identical value.
-            vdsat = np.maximum(0.5 * vod_s, 0.05)
-            sat = vds_s >= vdsat
-            ratio = vds_s / vdsat
-            mr[st] = np.where(
-                sat,
-                i_dsat * (1.0 + 0.05 * (vds_s - vdsat)) + i_sub_s,
-                i_dsat * ratio * (2.0 - ratio) + i_sub_s)
-        return m
-
-    def fill(self, xpad: np.ndarray, vals: np.ndarray,
-             c: np.ndarray) -> None:
-        fd = _FD_STEP
-        kn = self.kn
-        live = xpad.shape[0]
-        e_all = self.d_cols.shape[0]
-        s = self._buffers(live, e_all)
-        vd = xpad.take(self.d_cols, axis=1, out=s["vd"])
-        vg = xpad.take(self.g_cols, axis=1, out=s["vg"])
-        vs = xpad.take(self.s_cols, axis=1, out=s["vs"])
-        # Probe stacks: probe 0 is the operating point, probe 1 bumps
-        # the drain, probe 2 bumps the gate (scalar probe order).  The
-        # polarity dispatch runs on u = drain - source: the rounded
-        # difference of two doubles keeps their comparison's sign
-        # exactly (a nonzero real difference is >= the smallest
-        # subnormal, so it never rounds to zero), which makes
-        # ``u >= 0`` the NMOS forward test and ``u <= 0`` the PMOS one,
-        # |u| both polarities' vds, and one effective-source select
-        # both polarities' vgs, all to the scalar's exact bits (the
-        # only divergence is the sign of a zero vds when drain and
-        # source compare equal, which the model erases at its
-        # unconditionally positive ``+ i_sub`` terms).
-        dpf = np.add(vd, fd, out=s["dpf"])
-        u0 = np.subtract(vd, vs, out=s["u0"])
-        u1 = np.subtract(dpf, vs, out=s["u1"])
-        u = s["u"]
-        u[0] = u0
-        u[1] = u1
-        u[2] = u0
-        neg = s["neg"]
-        np.less(u[:, :, :kn], 0.0, out=neg[:, :, :kn])
-        np.less_equal(u[:, :, kn:], 0.0, out=neg[:, :, kn:])
-        cond = np.bitwise_xor(neg, self._flip, out=s["cond"])
-        # u is done informing the sign tests; fold it to |u| in place.
-        vds = np.abs(u, out=u)
-        dd = s["dd"]
-        dd[0] = vd
-        dd[1] = dpf
-        dd[2] = vd
-        # Effective source: the terminal the gate voltage is measured
-        # against (source when forward, drain when reversed).
-        w = s["w"]
-        np.copyto(w, dd)
-        np.copyto(w, vs, where=cond)
-        gg = s["gg"]
-        gg[0] = vg
-        gg[1] = vg
-        np.add(vg, fd, out=gg[2])
-        # NMOS vgs is gate - effective source; PMOS is the negation,
-        # which IEEE negation makes bitwise equal to the scalar's
-        # (effective source - gate) subtraction.
-        vgs = np.subtract(gg, w, out=gg)
-        np.negative(vgs[:, :, kn:], out=vgs[:, :, kn:])
-        lf = live * e_all
-        m = self._magnitude(vgs.reshape(3, lf), vds.reshape(3, lf),
-                            c.reshape(9, -1), s)
-        # where(neg, -m, m): negation in place is exact.
-        np.negative(m, out=m, where=neg.reshape(3, lf))
-        cur = m.reshape(3, live, e_all)
-        i0, i1, i2 = cur[0], cur[1], cur[2]
-        gd = np.subtract(i1, i0, out=s["gd"])
-        np.divide(gd, fd, out=gd)
-        gm = np.subtract(i2, i0, out=s["gm"])
-        np.divide(gm, fd, out=gm)
-        # where(0.0 > gd, 0.0, gd) + gmin: maximum keeps NaN rows NaN
-        # like where does, and a -0.0/+0.0 split is erased by + gmin.
-        np.maximum(gd, 0.0, out=gd)
-        np.add(gd, 1e-12, out=gd)  # noqa: L101 - gmin, siemens
-        vals[:, self.s_gd] = gd
-        vals[:, self.s_gm] = gm
-        ta = np.multiply(gd, u0, out=s["ta"])
-        tb = np.subtract(vg, vs, out=s["tb"])
-        np.multiply(gm, tb, out=tb)
-        i_lin = np.add(ta, tb, out=ta)
-        vals[:, self.s_res] = np.subtract(i0, i_lin, out=i_lin)
 
 
 @dataclasses.dataclass
@@ -593,8 +213,12 @@ class BatchStampPlan:
         (self._r_slot, self._r_sign, self._r_dst,
          self._r_n_uniq) = _split_unique(
             plan0._r_slot, plan0._r_sign, r_dst)
-        self._n_slots = len(plan0._nl_vals)
-        self._groups = self._compile_groups()
+        self._n_slots = plan0.n_slots
+        # The device groups, one row per sample, in plan 0's slot
+        # layout (the topology check lines every sample up with it).
+        self._groups = build_device_groups(
+            [p._nonlinear for p in self.plans], plan0._nl_slots,
+            self.systems[0].index, self.size)
         # Linear RHS machinery: capacitor companions are stacked per
         # sample; sources shared across samples (the common case: the
         # builder reuses one waveform object) are evaluated once.  The
@@ -718,47 +342,6 @@ class BatchStampPlan:
             sig.append(entry)
         return sig
 
-    def _compile_groups(self) -> List[Any]:
-        """Group the nonlinear elements by class (one MOSFET group).
-
-        Groups write disjoint slot columns, so their evaluation order
-        does not matter; the flat add.at scatter preserves the
-        canonical write order regardless.
-        """
-        ordered = [el for el in stamping_order(self.circuits[0])
-                   if type(el) not in _LINEAR_TYPES]
-        by_sample = [
-            [el for el in stamping_order(c)
-             if type(el) not in _LINEAR_TYPES]
-            for c in self.circuits]
-        buckets: Dict[str, Tuple[List[int], List[int]]] = {}
-        slot = 0
-        for j, el in enumerate(ordered):
-            if type(el) is Diode:
-                kind, n_slots = "diode", 2
-            elif type(el) is Switch:
-                kind, n_slots = "switch", 1
-            else:
-                kind, n_slots = "mosfet", 3
-            positions, slots = buckets.setdefault(kind, ([], []))
-            positions.append(j)
-            slots.append(slot)
-            slot += n_slots
-        index = self.systems[0].index
-        pad = self.size
-        groups: List[Any] = []
-        for kind, (positions, slots) in buckets.items():
-            grid = [[row[j] for j in positions] for row in by_sample]
-            if kind == "diode":
-                groups.append(_DiodeGroup(grid, index, pad, slots))
-            elif kind == "switch":
-                groups.append(_SwitchGroup(grid, index, pad, slots))
-            else:
-                flags = [ordered[j].device.polarity is Polarity.NMOS
-                         for j in positions]
-                groups.append(_MosfetGroup(grid, index, pad, slots, flags))
-        return groups
-
     # -- per-step / per-iterate API --------------------------------------------
 
     def begin_run(self, dt: float, integrator: str) -> None:
@@ -768,12 +351,12 @@ class BatchStampPlan:
         key compares companion values only, which is sound only while
         the underlying base stack is fixed.
         """
-        key = (dt, integrator, 1e-12)  # noqa: L101 - gmin, siemens
+        key = (dt, integrator, _GMIN)
         if self._base_stack_key != key:
             # Transposed per sample to match the transposed `_m_dst`
             # scatter map (see __init__): row b holds base_b.T.
             self._base_stack = np.stack(
-                [plan._base(dt, integrator, 1e-12).T  # noqa: L101 - gmin, siemens
+                [plan._base(dt, integrator, _GMIN).T
                  for plan in self.plans]).copy()
             self._base_stack_key = key
             self._lu_have[:] = False
@@ -919,7 +502,7 @@ class BatchStampPlan:
         xpad, vals, mterm, rterm, mat_scratch = scratch
         xpad[:, :n] = x
         for group, consts in zip(self._groups, step.group_consts):
-            group.fill(xpad, vals, consts)
+            group.fill(xpad, vals, consts, _GMIN)
         # `rhs` stays a fresh allocation on purpose: it is handed back
         # as the solution vector.  `matrices` must also outlive the
         # iterate while the LU cache is active (the in-place dgesv

@@ -1,30 +1,27 @@
 """Shared dense LU factorisation for the MNA solvers.
 
-Every solve in :mod:`repro.spice` — the legacy per-iterate path, the
-compiled :class:`~repro.spice.stampplan.StampPlan` fast path, DC and
-transient alike — routes through this module.  That single-kernel rule
-is what makes the fast path *bit-identical* to the legacy path: an
-identical matrix factorised by the same routine yields the identical
-solution, so caching a factorisation can never change a waveform.
+Every dense solve in :mod:`repro.spice` — the legacy per-iterate path,
+the compiled :class:`~repro.spice.stampplan.StampPlan` fast path, DC
+and transient alike, and the batched sample-axis solver — routes
+through this module.  That single-kernel rule is what makes the fast
+paths *bit-identical* to the legacy path: an identical matrix
+factorised by the same routine yields the identical solution, so
+reusing a factorisation can never change a waveform.
 
-The kernel is :func:`scipy.linalg.lu_factor` when SciPy is available
-and a pure-numpy partial-pivoting fallback otherwise.  Exact zero
-pivots raise :class:`numpy.linalg.LinAlgError` (matching the historic
-``np.linalg.solve`` behaviour on singular systems); near-singular
-warnings are suppressed — the structural diagnosis belongs to the
-caller (:meth:`repro.spice.mna.MnaSystem.solve`).
+The kernels are LAPACK's ``dgetrf``/``dgetrs``/``dgesv`` through
+SciPy's raw bindings.  Exact zero pivots raise
+:class:`numpy.linalg.LinAlgError` (matching the historic
+``np.linalg.solve`` behaviour on singular systems); the structural
+diagnosis belongs to the caller
+(:meth:`repro.spice.mna.MnaSystem.solve`).
 
-The ``*_batch`` variants factorise a ``(B, n, n)`` stack.  With LAPACK
-they loop ``dgetrf`` per sample (the per-sample kernel already
-saturates a core at MNA sizes); without SciPy the Doolittle fallback is
-vectorised over the batch axis, with every elementwise operation kept
-identical to :func:`_numpy_lu` so each sample's factors match the
-scalar fallback to the last bit.  A singular sample yields ``None`` in
-the returned list instead of raising, because the batched Newton driver
-must eject that one sample, not kill the whole stack.
-:func:`solve_fresh_row` / :func:`lu_backsolve_into` are the hot-loop
-variants: a fused factor+solve for rows whose matrix changed, and an
-in-place substitution for rows whose cached factors still apply.
+:func:`solve_fresh_row_t`, :func:`solve_rows_t_into` and
+:func:`lu_backsolve_into` are the batched solver's hot-loop variants: a
+fused factor+solve for rows whose matrix changed, and an in-place
+substitution for rows whose cached factors still apply.  A singular
+row yields ``None`` (or its index) instead of raising, because the
+batched Newton driver must eject that one sample, not kill the whole
+stack.
 """
 
 from __future__ import annotations
@@ -32,19 +29,13 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
+# The raw LAPACK bindings skip scipy.linalg.lu_factor's per-call
+# validation wrappers (~half the solve cost at MNA sizes) while running
+# the exact same dgetrf/dgetrs kernels underneath.
+from scipy.linalg.lapack import (dgesv as _dgesv, dgetrf as _dgetrf,
+                                 dgetrs as _dgetrs)
 
-try:
-    # The raw LAPACK bindings skip scipy.linalg.lu_factor's per-call
-    # validation wrappers (~half the solve cost at MNA sizes) while
-    # running the exact same dgetrf/dgetrs kernels underneath.
-    from scipy.linalg.lapack import (dgesv as _dgesv, dgetrf as _dgetrf,
-                                     dgetrs as _dgetrs)
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - the CI image ships scipy
-    _dgesv = _dgetrf = _dgetrs = None
-    _HAVE_SCIPY = False
-
-#: Opaque factorisation handle: ("lapack"|"numpy", lu, piv).
+#: Opaque factorisation handle: ("lapack", lu, piv).
 LuFactors = Tuple[str, np.ndarray, np.ndarray]
 
 
@@ -54,26 +45,21 @@ def lu_factorize(matrix: np.ndarray) -> LuFactors:
     Raises :class:`numpy.linalg.LinAlgError` on an exactly singular
     matrix (zero pivot), like ``np.linalg.solve`` used to.
     """
-    if _HAVE_SCIPY:
-        lu, piv, info = _dgetrf(matrix)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                "singular matrix (zero pivot)" if info > 0
-                else f"illegal dgetrf argument {-info}")
-        return ("lapack", lu, piv)
-    lu, piv = _numpy_lu(matrix)
-    return ("numpy", lu, piv)
+    lu, piv, info = _dgetrf(matrix)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            "singular matrix (zero pivot)" if info > 0
+            else f"illegal dgetrf argument {-info}")
+    return ("lapack", lu, piv)
 
 
 def lu_backsolve(factors: LuFactors, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A x = rhs`` given :func:`lu_factorize` output."""
-    kind, lu, piv = factors
-    if kind == "lapack":
-        x, info = _dgetrs(lu, piv, rhs)
-        if info != 0:  # pragma: no cover - factors are always consistent
-            raise np.linalg.LinAlgError(f"illegal dgetrs argument {-info}")
-        return x
-    return _numpy_backsolve(lu, piv, rhs)
+    _kind, lu, piv = factors
+    x, info = _dgetrs(lu, piv, rhs)
+    if info != 0:  # pragma: no cover - factors are always consistent
+        raise np.linalg.LinAlgError(f"illegal dgetrs argument {-info}")
+    return x
 
 
 def lu_solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -81,228 +67,75 @@ def lu_solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return lu_backsolve(lu_factorize(matrix), rhs)
 
 
-def _numpy_lu(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Doolittle LU with partial pivoting, LAPACK-style pivot vector."""
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise np.linalg.LinAlgError("matrix must be square")
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:  # noqa: L102 - exact zero pivot is the singular case
-            raise np.linalg.LinAlgError("singular matrix (zero pivot)")
-        piv[k] = p
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return a, piv
+def solve_fresh_row_t(matrix_t: np.ndarray,
+                      rhs_row: np.ndarray) -> Optional[LuFactors]:
+    """Factorise + solve in one LAPACK call, in place.
 
-
-def lu_factorize_batch(matrices: np.ndarray) -> List[Optional[LuFactors]]:
-    """LU-factorise a ``(B, n, n)`` stack, one entry per sample.
-
-    A singular sample (exact zero pivot, exactly the condition
-    :func:`lu_factorize` raises on) produces ``None`` at its position
-    instead of raising — the batched Newton driver ejects that sample
-    to the scalar path, which re-raises the structural diagnosis.
-
-    Every returned factorisation is bit-identical to calling
-    :func:`lu_factorize` on the corresponding ``matrices[b]``: the
-    LAPACK branch literally loops the scalar kernel, and the numpy
-    branch performs the same elementwise IEEE operations as
-    :func:`_numpy_lu` with dead (singular) samples masked out.
+    ``matrix_t`` holds ``A.T`` C-contiguously, so ``matrix_t.T`` is
+    ``A`` in Fortran order — exactly LAPACK's native layout — and
+    ``overwrite_a=1`` lets dgetrf factor in place with no copy.
+    ``dgesv`` runs dgetrf followed by dgetrs internally, so both the
+    returned factors and the solution written into ``rhs_row`` are
+    bit-identical to separate :func:`lu_factorize` /
+    :func:`lu_backsolve` calls on ``A`` (verified on this platform) at
+    one f2py round-trip instead of two.  The caller must own
+    ``matrix_t`` (its buffer becomes the factors).  Returns reusable
+    factors, or ``None`` on a singular matrix (``rhs_row`` is garbage
+    in that case; the caller ejects the sample).
     """
-    stack = np.asarray(matrices, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise np.linalg.LinAlgError("expected a (B, n, n) stack")
-    if _HAVE_SCIPY:
-        out: List[Optional[LuFactors]] = []
-        for sample in stack:
-            lu, piv, info = _dgetrf(np.ascontiguousarray(sample))
-            out.append(("lapack", lu, piv) if info == 0 else None)
-        return out
-    return _numpy_lu_batch(stack)
+    lu, piv, x, info = _dgesv(matrix_t.T, rhs_row,
+                              overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        if info < 0:  # pragma: no cover - arguments are consistent
+            raise np.linalg.LinAlgError(
+                f"illegal dgesv argument {-info}")
+        return None
+    if x is not rhs_row:  # pragma: no cover - non-contiguous input
+        rhs_row[:] = x
+    return ("lapack", lu, piv)
 
 
-def lu_backsolve_batch(factors: List[Optional[LuFactors]],
-                       rhs_stack: np.ndarray) -> np.ndarray:
-    """Solve one RHS per sample given :func:`lu_factorize_batch` output.
+def solve_rows_t_into(matrices_t: np.ndarray,
+                      rhs: np.ndarray) -> List[int]:
+    """Fused factor+solve for every row of a transposed stack.
 
-    Substitution is deliberately looped per sample: a vectorised
-    triangular solve would change the BLAS reduction order inside
-    ``ddot`` and break bit-identity with the scalar path.  Rows with
-    ``None`` factors come back as NaN (the caller ejects them first).
+    Runs the exact :func:`solve_fresh_row_t` kernel on each
+    ``(matrices_t[i], rhs[i])`` pair — same calls, same bits — in
+    one Python frame instead of one per row, which is the dominant
+    non-LAPACK cost at batched-Newton call rates (every live row
+    refactors nearly every iterate once the reuse probation in the
+    batch solver expires).  Solutions land in ``rhs`` rows in
+    place; the factors are discarded, so ``matrices_t`` is consumed
+    as scratch.  Returns the singular row indices (their ``rhs``
+    rows are garbage; the caller ejects those samples).
     """
-    rhs = np.ascontiguousarray(rhs_stack, dtype=float)
-    solution = np.full_like(rhs, np.nan)
-    for row, sample_factors in enumerate(factors):
-        if sample_factors is not None:
-            solution[row] = lu_backsolve(sample_factors, rhs[row])
-    return solution
-
-
-if _HAVE_SCIPY:
-    def solve_fresh_row(matrix: np.ndarray,
-                        rhs_row: np.ndarray) -> Optional[LuFactors]:
-        """Factorise + solve in one LAPACK call, in place into ``rhs_row``.
-
-        ``dgesv`` runs dgetrf followed by dgetrs internally, so both
-        the returned factors and the solution written into ``rhs_row``
-        are bit-identical to the separate :func:`lu_factorize` /
-        :func:`lu_backsolve` calls (verified on this platform) at one
-        f2py round-trip instead of two — the batched Newton driver
-        refactors nearly every iterate, so the fused call is its hot
-        path.  Returns reusable factors, or ``None`` on a singular
-        matrix (``rhs_row`` is garbage in that case; the caller ejects
-        the sample).
-        """
-        lu, piv, x, info = _dgesv(matrix, rhs_row, overwrite_b=1)
-        if info != 0:
-            if info < 0:  # pragma: no cover - arguments are consistent
-                raise np.linalg.LinAlgError(
-                    f"illegal dgesv argument {-info}")
-            return None
-        if x is not rhs_row:  # pragma: no cover - non-contiguous input
-            rhs_row[:] = x
-        return ("lapack", lu, piv)
-    def solve_fresh_row_t(matrix_t: np.ndarray,
-                          rhs_row: np.ndarray) -> Optional[LuFactors]:
-        """:func:`solve_fresh_row` taking the *transposed* matrix.
-
-        ``matrix_t`` holds ``A.T`` C-contiguously, so ``matrix_t.T`` is
-        ``A`` in Fortran order — exactly LAPACK's native layout — and
-        ``overwrite_a=1`` lets dgetrf factor in place with no copy.
-        The factorisation is the same kernel on the same values, so
-        ``x``, ``piv`` and the dgetrs-reusable ``lu`` are bit-identical
-        to the C-order call (verified on this platform); the caller
-        must own ``matrix_t`` (its buffer becomes the factors).
-        """
-        lu, piv, x, info = _dgesv(matrix_t.T, rhs_row,
+    bad: List[int] = []
+    # zip iteration yields the row views without per-row integer
+    # indexing, which is measurable at ~50k rows per run.
+    for i, (mat_t, row) in enumerate(zip(matrices_t, rhs)):
+        lu, piv, x, info = _dgesv(mat_t.T, row,
                                   overwrite_a=1, overwrite_b=1)
         if info != 0:
-            if info < 0:  # pragma: no cover - arguments are consistent
+            if info < 0:  # pragma: no cover - args are consistent
                 raise np.linalg.LinAlgError(
                     f"illegal dgesv argument {-info}")
-            return None
-        if x is not rhs_row:  # pragma: no cover - non-contiguous input
-            rhs_row[:] = x
-        return ("lapack", lu, piv)
-
-    def solve_rows_t_into(matrices_t: np.ndarray,
-                          rhs: np.ndarray) -> List[int]:
-        """Fused factor+solve for every row of a transposed stack.
-
-        Runs the exact :func:`solve_fresh_row_t` kernel on each
-        ``(matrices_t[i], rhs[i])`` pair — same calls, same bits — in
-        one Python frame instead of one per row, which is the dominant
-        non-LAPACK cost at batched-Newton call rates (every live row
-        refactors nearly every iterate once the reuse probation in the
-        batch solver expires).  Solutions land in ``rhs`` rows in
-        place; the factors are discarded, so ``matrices_t`` is consumed
-        as scratch.  Returns the singular row indices (their ``rhs``
-        rows are garbage; the caller ejects those samples).
-        """
-        bad: List[int] = []
-        # zip iteration yields the row views without per-row integer
-        # indexing, which is measurable at ~50k rows per run.
-        for i, (mat_t, row) in enumerate(zip(matrices_t, rhs)):
-            lu, piv, x, info = _dgesv(mat_t.T, row,
-                                      overwrite_a=1, overwrite_b=1)
-            if info != 0:
-                if info < 0:  # pragma: no cover - args are consistent
-                    raise np.linalg.LinAlgError(
-                        f"illegal dgesv argument {-info}")
-                bad.append(i)
-            elif x is not row:  # pragma: no cover - non-contiguous input
-                row[:] = x
-        return bad
-else:  # pragma: no cover - the CI image ships scipy
-    def solve_fresh_row(matrix: np.ndarray,
-                        rhs_row: np.ndarray) -> Optional[LuFactors]:
-        """Numpy twin of the fused factor+solve (scalar kernels)."""
-        try:
-            lu, piv = _numpy_lu(matrix)
-        except np.linalg.LinAlgError:
-            return None
-        rhs_row[:] = _numpy_backsolve(lu, piv, rhs_row)
-        return ("numpy", lu, piv)
-
-    def solve_fresh_row_t(matrix_t: np.ndarray,
-                          rhs_row: np.ndarray) -> Optional[LuFactors]:
-        """Numpy twin: un-transpose and run the scalar kernels."""
-        return solve_fresh_row(matrix_t.T, rhs_row)
-
-    def solve_rows_t_into(matrices_t: np.ndarray,
-                          rhs: np.ndarray) -> List[int]:
-        """Numpy twin: the scalar kernel per row, factors discarded."""
-        return [i for i in range(rhs.shape[0])
-                if solve_fresh_row_t(matrices_t[i], rhs[i]) is None]
+            bad.append(i)
+        elif x is not row:  # pragma: no cover - non-contiguous input
+            row[:] = x
+    return bad
 
 
 def lu_backsolve_into(factors: LuFactors, rhs_row: np.ndarray) -> None:
     """Solve ``A x = rhs_row`` in place into contiguous 1-D ``rhs_row``.
 
-    Runs the exact kernels of :func:`lu_backsolve`; LAPACK's in-place
+    Runs the exact kernel of :func:`lu_backsolve`; LAPACK's in-place
     path (``overwrite_b``) writes the identical solution bits without
     allocating an output vector, which matters at batched-Newton call
     rates (one backsolve per live sample per iterate).
     """
-    kind, lu, piv = factors
-    if kind == "lapack":
-        x, info = _dgetrs(lu, piv, rhs_row, overwrite_b=1)
-        if info != 0:  # pragma: no cover - factors are always consistent
-            raise np.linalg.LinAlgError(f"illegal dgetrs argument {-info}")
-        if x is not rhs_row:  # pragma: no cover - non-contiguous input
-            rhs_row[:] = x
-        return
-    rhs_row[:] = _numpy_backsolve(lu, piv, rhs_row)
-
-
-def _numpy_lu_batch(stack: np.ndarray) -> List[Optional[LuFactors]]:
-    """Doolittle over the batch axis, elementwise-equal to `_numpy_lu`.
-
-    The update expressions are the batched transliteration of the
-    scalar fallback: every multiply/divide/subtract touches the same
-    operand pairs in the same order, so live samples factor to the
-    same bits.  Samples that hit a zero pivot are marked dead; their
-    rows keep computing (division warnings suppressed) but the garbage
-    never escapes because dead entries return ``None``.
-    """
-    a = np.array(stack, dtype=float, copy=True)
-    batch, n = a.shape[0], a.shape[1]
-    piv = np.tile(np.arange(n), (batch, 1))
-    alive = np.ones(batch, dtype=bool)
-    rows = np.arange(batch)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(n):
-            p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
-            pivot_vals = a[rows, p, k]
-            alive &= pivot_vals != 0.0  # noqa: L102 - exact zero pivot
-            piv[:, k] = p
-            swap = np.nonzero(p != k)[0]
-            if swap.size:
-                upper = a[swap, k, :].copy()
-                a[swap, k, :] = a[swap, p[swap], :]
-                a[swap, p[swap], :] = upper
-            a[:, k + 1:, k] /= a[:, k, k][:, None]
-            a[:, k + 1:, k + 1:] -= (
-                a[:, k + 1:, k, None] * a[:, k, None, k + 1:])
-    return [("numpy", a[b], piv[b]) if alive[b] else None
-            for b in range(batch)]
-
-
-def _numpy_backsolve(lu: np.ndarray, piv: np.ndarray,
-                     rhs: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = np.array(rhs, dtype=float, copy=True)
-    for k in range(n):  # apply the recorded row swaps
-        p = int(piv[k])
-        if p != k:
-            x[k], x[p] = x[p], x[k]
-    for k in range(1, n):  # forward substitution (unit lower)
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):  # back substitution
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+    _kind, lu, piv = factors
+    x, info = _dgetrs(lu, piv, rhs_row, overwrite_b=1)
+    if info != 0:  # pragma: no cover - factors are always consistent
+        raise np.linalg.LinAlgError(f"illegal dgetrs argument {-info}")
+    if x is not rhs_row:  # pragma: no cover - non-contiguous input
+        rhs_row[:] = x

@@ -17,26 +17,42 @@ A :class:`StampPlan` compiles a circuit once per :class:`MnaSystem`:
   currents) are assembled once per solve point; the capacitor history
   scatter is vectorised with ``np.add.at`` over precompiled index
   arrays;
-* nonlinear elements are compiled to per-element *value fillers* with
-  node indices resolved to integers once; their matrix/RHS writes
-  replay through two ``np.add.at`` scatters over index/sign arrays
-  frozen in canonical write order (unknown element types fall back to
-  their generic ``stamp()`` through a facade system with direct
-  per-element writes, so plans accept any circuit);
-* the LU factorisation is cached by matrix *content* in a small LRU
-  (``_MAX_LU_FACTORS`` entries, ``spice.lu.evictions`` counts the
-  overflow) and reused when the matrix is unchanged between iterates
-  or timesteps (``spice.lu.reuse`` / ``spice.lu.refactor`` count the
-  split).  Content keying makes invalidation automatic: gmin stepping,
-  source stepping and substep halving all change the assembled matrix,
-  so they can never reuse a stale factorisation by construction.  On
-  fully-compiled plans the content key is the tuple of assembly
-  *inputs* — the linear-base key, ``extra_gmin``, and the bytes of the
-  (small) nonlinear value vector — because assembly is a deterministic
-  function of those inputs, equal inputs imply an equal matrix.  That
-  replaces an O(n²) ``matrix.tobytes()`` copy per Newton iterate with
-  an O(#nonlinear-slots) one; plans carrying generic-fallback stamps
-  (whose writes are opaque to the compiler) keep the full-matrix key.
+* diodes, switches and MOSFETs compute their companion values (the
+  conductances plus the linearisation residue) into one value vector,
+  and the matrix/RHS writes replay through two ``np.add.at`` scatters
+  over index/sign arrays frozen in canonical write order (unknown
+  element types fall back to their generic ``stamp()`` through a
+  facade system with direct per-element writes, so plans accept any
+  circuit);
+* the LU factorisation of the last solve is kept and reused when the
+  next matrix is unchanged (``spice.lu.reuse`` / ``spice.lu.refactor``
+  count the split).  The reuse test compares content keys, so
+  invalidation is automatic: gmin stepping, source stepping and
+  substep halving all change the assembled matrix, so they can never
+  reuse a stale factorisation by construction.  On fully-compiled
+  plans the content key is the tuple of assembly *inputs* — the
+  linear-base key, ``extra_gmin``, and the bytes of the nonlinear value
+  vector — because assembly is a deterministic function of those
+  inputs, equal inputs imply an equal matrix.  Plans carrying
+  generic-fallback stamps (whose writes are opaque to the compiler)
+  key on the full ``matrix.tobytes()``.
+
+**Device evaluation.**  The companion values come from one of two
+bit-identical evaluators, chosen per plan by its nonlinear element
+count (``plan.device``, counted in ``spice.stampplan.device.grouped``
+/ ``spice.stampplan.device.closures``):
+
+* ``"closures"`` — one compiled Python closure per element, with node
+  indices resolved to integers and process constants hoisted.  Cheap
+  per call, so it wins on small circuits such as the 8-MOSFET local
+  block;
+* ``"grouped"`` — the class-wise kernels of
+  :mod:`repro.spice.devices` (the ones the batched solver runs),
+  evaluated at one stacked sample.  Their fixed per-call cost is that
+  of a few dozen closures, but the per-device cost is several times
+  lower, so they win from
+  :data:`DEVICE_GROUP_THRESHOLD` devices up (calibrated by
+  ``benchmarks/test_device_crossover.py``).
 
 **Backends.**  ``backend`` selects the linear kernel: ``"dense"`` (the
 default — LAPACK LU via :mod:`repro.spice.linalg`, bit-identical to
@@ -45,27 +61,27 @@ the legacy path), ``"sparse"`` (the pattern-compiled CSR path of
 array, never touching an O(n²) matrix copy), or ``"auto"`` (sparse at
 and above ``SPARSE_AUTO_THRESHOLD`` unknowns, dense below; the
 crossover is calibrated by ``benchmarks/test_sparse_throughput.py``).
-Sparse factorisations live in the same content-keyed LRU, so the
-recovery ladder invalidates them exactly like dense ones.  Plans
-carrying generic-fallback stamps always solve dense (their writes are
-opaque to the pattern compiler); ``spice.sparse.generic_fallback``
-counts that demotion.
+Sparse factorisations follow the same last-factorisation reuse rule,
+so the recovery ladder invalidates them exactly like dense ones.
+Plans carrying generic-fallback stamps always solve dense (their
+writes are opaque to the pattern compiler);
+``spice.sparse.generic_fallback`` counts that demotion.
 
 **Bit-identity contract.**  Both the plan and the legacy path stamp in
 the canonical order of :func:`stamping_order` (linear groups by type in
-circuit order, then the rest in circuit order), every compiled closure
-replays the exact arithmetic of the element's ``stamp()`` (same
+circuit order, then the rest in circuit order), both device evaluators
+replay the exact arithmetic of the element's ``stamp()`` (same
 expression trees, same accumulation order — IEEE addition is not
 associative, so order *is* the contract), and both paths factorise
 through :mod:`repro.spice.linalg`.  ``tests/spice/test_stampplan.py``
-asserts ``TransientResult.data`` equality to the last bit.
+asserts ``TransientResult.data`` equality to the last bit under both
+device evaluators.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -73,6 +89,8 @@ import numpy as np
 from repro import obs
 from repro.errors import ConfigurationError
 from repro.spice import linalg
+from repro.spice.devices import (DEVICE_TYPES, _mosfet_constants,
+                                 build_device_groups)
 from repro.spice.elements import (Capacitor, CurrentSource, Diode, Resistor,
                                   Switch, VoltageSource)
 from repro.spice.sparse import SparseContext
@@ -94,18 +112,21 @@ _MAX_BASES = 64
 #: resolve reuse collapses (e.g. a source ramp) inside one run.
 _LU_SAMPLE_WINDOW = 256
 
-#: Upper bound on content-keyed factorisations held per plan.  Long
-#: sweeps walk through an unbounded stream of distinct matrices; the
-#: LRU keeps the working set (a Newton fixed point plus the recovery
-#: ladder's warm restarts) while bounding memory.
-_MAX_LU_FACTORS = 16
-
 #: ``backend="auto"`` picks the sparse path at and above this unknown
 #: count.  Calibrated by ``benchmarks/test_sparse_throughput.py``: at
 #: n ≈ 64 the dense LAPACK kernel still wins (lower fixed overhead),
 #: from n ≈ 256 the pattern-compiled sparse refactor is an order of
 #: magnitude faster and the gap widens cubically.
 SPARSE_AUTO_THRESHOLD = 128
+
+#: Plans with at least this many nonlinear elements (diodes, switches,
+#: MOSFETs) evaluate them through the grouped kernels of
+#: :mod:`repro.spice.devices`; smaller plans keep the per-element
+#: closures.  Calibrated by ``benchmarks/test_device_crossover.py``:
+#: the grouped kernels' fixed per-call cost still loses to the closures
+#: at 32 MOSFETs (about 0.8x), and they win from 64 (about 1.4x) to the
+#: 261-MOSFET global bitline (about 4.5x).
+DEVICE_GROUP_THRESHOLD = 48
 
 
 def resolve_backend(backend: str, size: int) -> str:
@@ -123,39 +144,6 @@ def resolve_backend(backend: str, size: int) -> str:
         obs.metrics().counter(f"spice.sparse.auto.{choice}").inc()
         return choice
     return backend
-
-
-class _LuCache:
-    """Small LRU of content-keyed factorisations (dense and sparse).
-
-    Lookups refresh recency; inserting past ``capacity`` evicts the
-    least recently used entry and counts one ``spice.lu.evictions``.
-    Because entries are keyed by matrix *content* (or the assembly
-    inputs that determine it), an eviction can only ever cost a
-    refactorisation, never correctness.
-    """
-
-    __slots__ = ("capacity", "_entries")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[object, object]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: object) -> Optional[object]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: object, factors: object) -> None:
-        self._entries[key] = factors
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            obs.metrics().counter("spice.lu.evictions").inc()
 
 
 def stamping_order(circuit) -> List[CircuitElement]:
@@ -270,30 +258,45 @@ class StampPlan:
                 nonlinear.append(element)
         self.nonlinear_count = len(nonlinear)
 
-        # Nonlinear elements compile to *value fillers*: per iterate
-        # each computes its companion-model values (conductances plus
-        # the linearisation residue) into one shared list, and the
-        # matrix/RHS writes replay through two np.add.at scatters over
-        # index/slot/sign arrays frozen at compile time in canonical
-        # write order (np.add.at applies unbuffered, in index order, so
-        # per-cell accumulation order — and therefore rounding — is
-        # identical to the sequential legacy walk).  Circuits with an
-        # element type the compiler does not know fall back to direct
+        # Nonlinear elements compile to *value producers*: per iterate
+        # the plan computes every element's companion-model values
+        # (conductances plus the linearisation residue) into one value
+        # vector, and the matrix/RHS writes replay through two
+        # np.add.at scatters over index/slot/sign arrays frozen at
+        # compile time in canonical write order (np.add.at applies
+        # unbuffered, in index order, so per-cell accumulation order —
+        # and therefore rounding — is identical to the sequential
+        # legacy walk).  The values come from per-element closures or,
+        # from DEVICE_GROUP_THRESHOLD elements up, from the grouped
+        # kernels of repro.spice.devices.  Circuits with an element
+        # type the compiler does not know fall back to direct
         # per-element stamping so generic stamps interleave correctly.
-        self._batched = all(type(el) in (Diode, Switch, MosfetElement)
-                            for el in nonlinear)
+        self._batched = all(type(el) in DEVICE_TYPES for el in nonlinear)
+        grouped = (self._batched
+                   and self.nonlinear_count >= DEVICE_GROUP_THRESHOLD)
+        self.device = "grouped" if grouped else "closures"
+        obs.metrics().counter(f"spice.stampplan.device.{self.device}").inc()
+        self._nonlinear = nonlinear
         self._fillers: List[Callable] = []
         self._stampers: List[_Stamper] = []
+        self._groups = None
+        self.n_slots = 0
         if self._batched:
             m_writes: List[Tuple[int, int, float]] = []
             r_writes: List[Tuple[int, int, float]] = []
+            slots: List[int] = []
             slot = 0
             for el in nonlinear:
+                slots.append(slot)
                 fill, n_slots, mw, rw = self._compile_fill(el, slot)
-                self._fillers.append(fill)
+                if not grouped:
+                    self._fillers.append(fill)
                 m_writes.extend(mw)
                 r_writes.extend(rw)
                 slot += n_slots
+            self.n_slots = slot
+            #: First value slot of each nonlinear element.
+            self._nl_slots = slots
             self._nl_vals = [0.0] * slot
             self._m_idx = np.array([w[0] for w in m_writes], dtype=np.intp)
             self._m_slot = np.array([w[1] for w in m_writes], dtype=np.intp)
@@ -301,6 +304,13 @@ class StampPlan:
             self._r_idx = np.array([w[0] for w in r_writes], dtype=np.intp)
             self._r_slot = np.array([w[1] for w in r_writes], dtype=np.intp)
             self._r_sign = np.array([w[2] for w in r_writes])
+            if grouped:
+                self._groups = build_device_groups(
+                    [nonlinear], slots, system.index, ground_slot)
+                # One stacked sample: the padded iterate (ground column
+                # pinned to 0.0) and its value row.
+                self._xpad = np.zeros((1, self.size + 1))
+                self._nl_row = np.empty((1, slot))
         else:
             for el in nonlinear:
                 self._stampers.append(self._compile(el))
@@ -328,7 +338,9 @@ class StampPlan:
         # Inputs-mode keys are only sound when every matrix write is
         # compiler-known; generic-fallback plans key on matrix bytes.
         self._lu_inputs_key = self._batched and lu_key == "inputs"
-        self._lu_cache = _LuCache(_MAX_LU_FACTORS)
+        # The last factorisation and its content key (see _reuse).
+        self._lu_key: Optional[object] = None
+        self._lu_factors: Optional[object] = None
         # Windowed LU telemetry: every _LU_SAMPLE_WINDOW solves, the
         # window's reuse fraction is sampled into the
         # ``spice.lu.reuse_ratio`` time series (x-axis: total solves).
@@ -391,7 +403,7 @@ class StampPlan:
         """Compile one nonlinear element to its value filler.
 
         Returns ``(fill, n_slots, matrix_writes, rhs_writes)`` where
-        ``fill(x, vals, gmin, point)`` stores the element's companion
+        ``fill(x, vals, gmin)`` stores the element's companion
         values into ``vals[slot:slot + n_slots]`` and each write tuple
         ``(flat_index, value_slot, sign)`` replays one legacy
         ``+=``/``-=`` in its original order (``a -= v`` is exactly
@@ -406,7 +418,7 @@ class StampPlan:
 
     def _compile(self, element: CircuitElement) -> _Stamper:
         """Direct-write stamper for plans with generic-fallback elements."""
-        if type(element) in (Diode, Switch, MosfetElement):
+        if type(element) in DEVICE_TYPES:
             fill, n_slots, m_writes, r_writes = self._compile_fill(element, 0)
             return _direct_adapter(fill, n_slots, m_writes, r_writes)
         return self._compile_generic(element)
@@ -419,7 +431,7 @@ class StampPlan:
         has_a, has_c = a >= 0, c >= 0
         s_g, s_res = slot, slot + 1
 
-        def fill(x, vals, gmin, point):
+        def fill(x, vals, gmin):
             va = x.item(a) if has_a else 0.0
             vc = x.item(c) if has_c else 0.0
             v = va - vc
@@ -464,7 +476,7 @@ class StampPlan:
         has_cp, has_cn = cp >= 0, cn >= 0
         s_g = slot
 
-        def fill(x, vals, gmin, point):
+        def fill(x, vals, gmin):
             vp = x.item(cp) if has_cp else 0.0
             vn = x.item(cn) if has_cn else 0.0
             # Inlined Switch.conductance (clamped logistic).  The full
@@ -502,7 +514,7 @@ class StampPlan:
         has_d, has_g, has_s = d >= 0, g_ >= 0, s >= 0
         s_gd, s_gm, s_res = slot, slot + 1, slot + 2
 
-        def fill(x, vals, gmin, point):
+        def fill(x, vals, gmin):
             vd = x.item(d) if has_d else 0.0
             vg = x.item(g_) if has_g else 0.0
             vs = x.item(s) if has_s else 0.0
@@ -759,12 +771,9 @@ class StampPlan:
         mf = self._matrix_flat
         key: Optional[object] = None
         if self._batched:
-            vals = self._nl_vals
-            for fill in self._fillers:
-                fill(x, vals, gmin, point)
             nl_key = b""
-            if vals:
-                v = np.array(vals)
+            if self.n_slots:
+                v = self.device_values(x, gmin)
                 np.add.at(mf, self._m_idx, v[self._m_slot] * self._m_sign)
                 np.add.at(rhs, self._r_idx, v[self._r_slot] * self._r_sign)
                 nl_key = v.tobytes()
@@ -776,6 +785,29 @@ class StampPlan:
         if point.extra_gmin > 0.0:
             mf[self._diag_flat] += point.extra_gmin
         return self._solve(matrix, rhs, key)
+
+    def device_values(self, x: np.ndarray, gmin: float) -> np.ndarray:
+        """Companion values of every compiled device at iterate ``x``.
+
+        Slot layout is the compile-time one (``_nl_slots``); the result
+        is only valid until the next call.  Closures and grouped kernels
+        return the same bits.
+        """
+        groups = self._groups
+        if groups is not None:
+            xpad = self._xpad
+            xpad[0, :-1] = x
+            row = self._nl_row
+            # A diverging iterate (inf/NaN voltages) evaluates silently
+            # on the closures; keep NumPy's warnings out of it too.
+            with np.errstate(all="ignore"):
+                for group in groups:
+                    group.fill(xpad, row, group.consts, gmin)
+            return row[0]
+        vals = self._nl_vals
+        for fill in self._fillers:
+            fill(x, vals, gmin)
+        return np.array(vals)
 
     def _solve_iterate_sparse(self, point: _SolvePoint,
                               x: np.ndarray) -> np.ndarray:
@@ -789,13 +821,9 @@ class StampPlan:
         vals = self._sparse_base(point).copy()
         rhs = self._rhs
         np.copyto(rhs, point.rhs_point)
-        gmin = point.gmin
         nl_key = b""
-        if self._fillers:
-            nl_vals = self._nl_vals
-            for fill in self._fillers:
-                fill(x, nl_vals, gmin, point)
-            v = np.array(nl_vals)
+        if self.n_slots:
+            v = self.device_values(x, point.gmin)
             np.add.at(vals, self._sp_m_pos, v[self._m_slot] * self._m_sign)
             np.add.at(rhs, self._r_idx, v[self._r_slot] * self._r_sign)
             nl_key = v.tobytes()
@@ -803,16 +831,13 @@ class StampPlan:
             vals[self._sp_diag_pos] += point.extra_gmin
         key = (point.base_key, point.extra_gmin, nl_key)
         sparse = self._sparse
-        factors = self._lu_cache.get(key)
-        if factors is not None:
-            self._note_solve(reused=True)
-        else:
+        factors = self._reuse(key)
+        if factors is None:
             try:
                 factors = sparse.factorize(vals)
             except np.linalg.LinAlgError as exc:
                 raise self.system.singular_error() from exc
-            self._lu_cache.put(key, factors)
-            self._note_solve(reused=False)
+            self._keep(key, factors)
         return sparse.solve(factors, rhs)
 
     def _sparse_base(self, point: _SolvePoint) -> np.ndarray:
@@ -827,26 +852,42 @@ class StampPlan:
 
     def _solve(self, matrix: np.ndarray, rhs: np.ndarray,
                key: Optional[object] = None) -> np.ndarray:
-        # Content keying: stricter than element-wise equality (-0.0 and
-        # +0.0 get distinct factorisations, so a reuse can never shift
-        # even the sign of a zero in the solution).  Inputs-mode keys
-        # (base key, extra_gmin, nonlinear-value bytes) arrive from
-        # solve_iterate and are sound because assembly is deterministic:
-        # equal inputs produce a byte-equal matrix.  Without one, fall
-        # back to hashing the full matrix content.
+        # Inputs-mode keys (base key, extra_gmin, nonlinear-value bytes)
+        # arrive from solve_iterate; without one, key on the full
+        # matrix content.
         if key is None:
             key = matrix.tobytes()
-        factors = self._lu_cache.get(key)
-        if factors is not None:
-            self._note_solve(reused=True)
-        else:
+        factors = self._reuse(key)
+        if factors is None:
             try:
                 factors = linalg.lu_factorize(matrix)
             except np.linalg.LinAlgError as exc:
                 raise self.system.singular_error() from exc
-            self._lu_cache.put(key, factors)
-            self._note_solve(reused=False)
+            self._keep(key, factors)
         return linalg.lu_backsolve(factors, rhs)
+
+    def _reuse(self, key: object) -> Optional[object]:
+        """The last factorisation if ``key`` matches its content key.
+
+        Content keying is stricter than element-wise equality (-0.0 and
+        +0.0 bytes differ, so a reuse can never shift even the sign of
+        a zero in the solution), and sound because assembly is
+        deterministic: equal inputs produce a byte-equal matrix.  One
+        entry is enough: a Newton iterate only repeats the matrix of
+        the solve just before it (a linear circuit, or a converged
+        fixed point), and a refactorisation of an equal matrix returns
+        the identical factors, so a miss costs time, never bits.
+        """
+        if key == self._lu_key:
+            self._note_solve(reused=True)
+            return self._lu_factors
+        return None
+
+    def _keep(self, key: object, factors: object) -> None:
+        """Remember a fresh factorisation as the reuse candidate."""
+        self._lu_key = key
+        self._lu_factors = factors
+        self._note_solve(reused=False)
 
     def _note_solve(self, reused: bool) -> None:
         """Count one solve in the reuse/refactor split and the window."""
@@ -878,7 +919,7 @@ def _direct_adapter(fill: Callable, n_slots: int,
     tmp = [0.0] * n_slots
 
     def stamp(x, mf, rhs, gmin, point):
-        fill(x, tmp, gmin, point)
+        fill(x, tmp, gmin)
         for flat, slot, sign in m_writes:
             mf[flat] += sign * tmp[slot]
         for idx, slot, sign in r_writes:
@@ -907,24 +948,6 @@ def _add_conductance(m: np.ndarray, ia: int, ib: int, g: float) -> None:
     if ia >= 0 and ib >= 0:
         m[ia, ib] -= g
         m[ib, ia] -= g
-
-
-def _mosfet_constants(element: MosfetElement) -> Tuple[float, ...]:
-    """Hoist every process constant a mosfet evaluation needs.
-
-    The ``params`` property chain costs two dict lookups per call on
-    the legacy path; here it is paid once at compile time.  Shared by
-    :func:`_compile_mosfet_magnitude` and the inlined copies inside
-    :meth:`StampPlan._compile_mosfet`.
-    """
-    device = element.device
-    p = device.params
-    vt_thermal = device.node.thermal_voltage
-    return (p.vth, p.dibl, p.alpha, p.subthreshold_swing,
-            vt_thermal, 5 * vt_thermal,
-            max(0.05, p.vth - p.dibl * device.node.vdd),
-            p.i_off * device.width / device.length_factor,
-            (p.k_sat / device.length_factor) * device.width)
 
 
 def _compile_mosfet_magnitude(element: MosfetElement

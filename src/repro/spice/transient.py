@@ -169,7 +169,8 @@ def simulate_transient(circuit: Circuit, t_stop: float, dt: float,
         iter_series = dt_series = None
     with obs.span("spice.transient", circuit=circuit.name, steps=steps,
                   integrator=integrator,
-                  backend=plan.backend if plan is not None else "dense"):
+                  backend=plan.backend if plan is not None else "dense",
+                  device=plan.device if plan is not None else "legacy"):
         for step in range(1, steps + 1):
             # Cooperative deadline check: a supervised sample whose
             # transient runs past its budget raises DeadlineExceeded

@@ -11,8 +11,7 @@ order differs), so its contract is two-sided:
   serially and through ``--batch``/``--jobs`` ejection.
 
 Both are enforced here, including a Hypothesis property across seeds
-and block counts, plus the recovery-ladder and LRU-cache behaviours
-the ISSUE names.
+and block counts, plus the recovery-ladder behaviour.
 """
 
 import numpy as np
@@ -29,9 +28,7 @@ from repro.spice.linalg import lu_solve_dense
 from repro.spice.mna import MnaSystem
 from repro.spice.recovery import RecoveryConfig
 from repro.spice.sparse import SparseContext
-from repro.spice.stampplan import (SPARSE_AUTO_THRESHOLD, StampPlan,
-                                   _LuCache, _MAX_LU_FACTORS,
-                                   resolve_backend)
+from repro.spice.stampplan import SPARSE_AUTO_THRESHOLD, resolve_backend
 from repro.units import ns, ps
 
 from tests.spice.test_recovery import GMIN_LADDER, stiff_diode_circuit
@@ -252,41 +249,6 @@ class TestSparseRecoveryLadder:
         sparse = solve_dc(circuit, recovery=recovery, backend="sparse")
         worst = max(abs(dense[k] - sparse[k]) for k in dense)
         assert worst < WAVEFORM_TOL
-
-
-class TestLuCacheBound:
-    def test_peak_entries_capped(self):
-        cache = _LuCache(_MAX_LU_FACTORS)
-        with obs.instrumented() as registry:
-            for k in range(_MAX_LU_FACTORS + 5):
-                cache.put(("key", k), object())
-                assert len(cache) <= _MAX_LU_FACTORS
-            counters = registry.snapshot()["counters"]
-        assert counters["spice.lu.evictions"] == 5
-
-    def test_lru_discipline_refreshes_on_hit(self):
-        cache = _LuCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" becomes LRU
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_plan_cache_stays_bounded_in_transient(self):
-        """A long nonlinear transient generates far more distinct
-        Jacobians than the cache holds; the bound must hold and
-        evictions must be counted."""
-        circuit, initial = localblock_circuit()
-        with obs.instrumented() as registry:
-            result = simulate_transient(circuit, t_stop=0.3 * ns,
-                                        dt=1.0 * ps,
-                                        initial_voltages=initial,
-                                        backend="dense")
-            counters = registry.snapshot()["counters"]
-        assert result.data.shape[0] > 0
-        assert counters["spice.lu.refactor"] > _MAX_LU_FACTORS
-        assert counters["spice.lu.evictions"] > 0
 
 
 class TestSparseObsCounters:

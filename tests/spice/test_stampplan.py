@@ -7,6 +7,11 @@ the recovery ladder escalates (gmin stepping, substep halving) and on
 fault-injected refresh scenarios.  Any drift here means the fast path
 changed numerical behaviour, which the benchmark speedup must never
 buy.
+
+The local-block fixtures sit below ``DEVICE_GROUP_THRESHOLD``, so the
+plan-vs-legacy classes run twice: as written (per-element closures)
+and, through their ``*Grouped`` subclasses, with the threshold forced
+to 0 so every plan evaluates its devices through the grouped kernels.
 """
 
 import numpy as np
@@ -15,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FastDramDesign, obs
+from repro.array.globalbitline import (build_globalbitline_read_circuit,
+                                       globalbitline_initial_voltages)
 from repro.array.localblock import build_localblock_read_circuit
 from repro.errors import ConvergenceError
 from repro.spice import (
@@ -30,6 +37,7 @@ from repro.spice import (
     solve_dc,
     stamping_order,
 )
+from repro.spice import stampplan
 from repro.spice.mna import MnaSystem
 from repro.spice.recovery import RecoveryConfig
 from repro.spice.stampplan import (
@@ -267,16 +275,153 @@ class TestStampingOrder:
         assert StampPlan(system).system is system
 
 
+#: Diode-divider parameter space of the DC property tests.
+DIVIDERS = dict(resistance=st.floats(min_value=1e3, max_value=1e7),
+                v_t=st.floats(min_value=0.02, max_value=0.2),
+                supply=st.floats(min_value=0.5, max_value=5.0))
+
+
+def assert_divider_dc_identical(resistance, v_t, supply):
+    circuit = Circuit("prop-divider")
+    circuit.add(VoltageSource("v1", "in", "0", dc(supply)))
+    circuit.add(Resistor("r1", "in", "d", resistance))
+    circuit.add(Diode("d1", "d", "0", v_t=v_t, v_clip=0.8))
+    assert (solve_dc(circuit, stamp_plan=True)
+            == solve_dc(circuit, stamp_plan=False))
+
+
 class TestPropertyEquivalence:
-    @given(resistance=st.floats(min_value=1e3, max_value=1e7),
-           v_t=st.floats(min_value=0.02, max_value=0.2),
-           supply=st.floats(min_value=0.5, max_value=5.0))
+    @given(**DIVIDERS)
     @settings(max_examples=25, deadline=None)
     def test_dc_solution_identical_for_random_diode_dividers(
             self, resistance, v_t, supply):
-        circuit = Circuit("prop-divider")
-        circuit.add(VoltageSource("v1", "in", "0", dc(supply)))
-        circuit.add(Resistor("r1", "in", "d", resistance))
-        circuit.add(Diode("d1", "d", "0", v_t=v_t, v_clip=0.8))
-        assert (solve_dc(circuit, stamp_plan=True)
-                == solve_dc(circuit, stamp_plan=False))
+        assert_divider_dc_identical(resistance, v_t, supply)
+
+
+# -- the same suite on the grouped device kernels -------------------------------
+
+
+@pytest.fixture(scope="class")
+def grouped_devices():
+    """Every plan compiled inside the class evaluates its devices
+    through the grouped kernels (class scope keeps Hypothesis happy)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(stampplan, "DEVICE_GROUP_THRESHOLD", 0)
+        yield
+
+
+@pytest.mark.usefixtures("grouped_devices")
+class TestTransientBitIdentityGrouped(TestTransientBitIdentity):
+    pass
+
+
+@pytest.mark.usefixtures("grouped_devices")
+class TestDcEquivalenceGrouped(TestDcEquivalence):
+    pass
+
+
+@pytest.mark.usefixtures("grouped_devices")
+class TestBatchedVsGenericPathGrouped(TestBatchedVsGenericPath):
+    pass
+
+
+@pytest.mark.usefixtures("grouped_devices")
+class TestFactorizationCacheGrouped(TestFactorizationCache):
+    pass
+
+
+@pytest.mark.usefixtures("grouped_devices")
+class TestPropertyEquivalenceGrouped:
+    # Not a subclass: Hypothesis refuses one test run from two classes.
+    @given(**DIVIDERS)
+    @settings(max_examples=25, deadline=None)
+    def test_dc_solution_identical_for_random_diode_dividers(
+            self, resistance, v_t, supply):
+        assert_divider_dc_identical(resistance, v_t, supply)
+
+
+def gbl_circuit():
+    """A global-bitline read with enough devices (69 MOSFETs, 20
+    switches) to sit above the default threshold, small enough (89
+    unknowns) to run dense too."""
+    cell = FastDramDesign().cell()
+    circuit = build_globalbitline_read_circuit(cell, blocks=8,
+                                               cells_per_lbl=8)
+    return circuit, globalbitline_initial_voltages(cell)
+
+
+def with_threshold(monkeypatch, threshold, run):
+    monkeypatch.setattr(stampplan, "DEVICE_GROUP_THRESHOLD", threshold)
+    with obs.instrumented() as registry:
+        result = run()
+        counters = registry.snapshot()["counters"]
+    return result, counters
+
+
+class TestGroupedVsClosures:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_globalbitline_transient_bytes(self, monkeypatch, backend):
+        circuit, initial = gbl_circuit()
+
+        def run():
+            return simulate_transient(circuit, t_stop=1.2 * ns,
+                                      dt=4.0 * ps,
+                                      initial_voltages=initial,
+                                      backend=backend)
+
+        grouped, counters = with_threshold(monkeypatch, 0, run)
+        assert counters["spice.stampplan.device.grouped"] == 1
+        closures, counters = with_threshold(monkeypatch, 10**9, run)
+        assert counters["spice.stampplan.device.closures"] == 1
+        assert grouped.data.tobytes() == closures.data.tobytes()
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_dc_gmin_walk_bytes(self, monkeypatch, backend):
+        """solve_dc walks the whole gmin ladder (1e-3 S down to 1e-12
+        S), so the MOSFET kernels see every rung's gmin."""
+        circuit, _initial = gbl_circuit()
+
+        def run():
+            solution = solve_dc(circuit, backend=backend)
+            return np.array([solution[k] for k in sorted(solution)])
+
+        grouped, _ = with_threshold(monkeypatch, 0, run)
+        closures, _ = with_threshold(monkeypatch, 10**9, run)
+        assert grouped.tobytes() == closures.tobytes()
+
+
+class TestDeviceSelection:
+    def test_default_threshold_splits_the_workloads(self):
+        """The 8-MOSFET local block stays on the closures; the
+        global-bitline read goes grouped."""
+        small, _ = localblock_circuit()
+        large, _ = gbl_circuit()
+        assert StampPlan(MnaSystem(small)).device == "closures"
+        assert StampPlan(MnaSystem(large)).device == "grouped"
+
+    def test_threshold_is_inclusive(self, monkeypatch):
+        circuit, _ = localblock_circuit()
+        count = StampPlan(MnaSystem(circuit)).nonlinear_count
+        monkeypatch.setattr(stampplan, "DEVICE_GROUP_THRESHOLD", count)
+        assert StampPlan(MnaSystem(circuit)).device == "grouped"
+        monkeypatch.setattr(stampplan, "DEVICE_GROUP_THRESHOLD", count + 1)
+        assert StampPlan(MnaSystem(circuit)).device == "closures"
+
+    def test_generic_fallback_plans_use_closures(self, monkeypatch):
+        monkeypatch.setattr(stampplan, "DEVICE_GROUP_THRESHOLD", 0)
+        circuit = TestBatchedVsGenericPath._divider(_PythonDiode)
+        assert StampPlan(MnaSystem(circuit)).device == "closures"
+
+    def test_transient_span_names_the_device_path(self):
+        from repro.obs.tracing import Tracer
+
+        circuit, initial = gbl_circuit()
+        tracer = Tracer()
+        with obs.instrumented(tracer=tracer):
+            simulate_transient(circuit, t_stop=10 * ps, dt=_DT,
+                               initial_voltages=initial)
+            simulate_transient(circuit, t_stop=10 * ps, dt=_DT,
+                               initial_voltages=initial, stamp_plan=False)
+        spans = [s for s in tracer.finished_roots()
+                 if s.name == "spice.transient"]
+        assert [s.attrs["device"] for s in spans] == ["grouped", "legacy"]
