@@ -11,10 +11,9 @@ same three defences:
   a different configuration);
 * :class:`RunBudget` / :class:`BudgetClock` — wall-clock and
   failure-count ceilings checked between work items;
-* :func:`run_sweep` — the generic harness: walks keyed work items,
-  skips completed ones, records failures instead of dying, and returns
-  a :class:`SweepOutcome` with explicit ``completed/attempted``
-  accounting rather than an exception.
+* :class:`SweepOutcome` — explicit ``completed/attempted`` accounting
+  of a partial or complete sweep, returned instead of an exception by
+  the one sweep loop, :func:`repro.exec.run_parallel_sweep`.
 
 Checkpoints are written atomically (temp file + ``os.replace``), so a
 kill during a save never corrupts the previous snapshot.
@@ -30,11 +29,11 @@ import os
 import pathlib
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
 from repro.analysis.effects import pure
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 
 _log = logging.getLogger(__name__)
 
@@ -296,96 +295,3 @@ class SweepOutcome:
         if self.interrupted:
             parts.append("interrupted")
         return ", ".join(parts)
-
-
-def run_sweep(items: Sequence[Tuple[str, Callable[[], Any]]],
-              checkpoint: Optional[Checkpoint] = None,
-              budget: Optional[RunBudget] = None,
-              save_every: int = 1,
-              encode: Optional[Callable[[Any], Any]] = None,
-              decode: Optional[Callable[[Any], Any]] = None,
-              progress: Optional[Any] = None
-              ) -> SweepOutcome:
-    """Walk keyed work items with checkpointing and budget enforcement.
-
-    ``items`` is an ordered sequence of ``(key, thunk)`` pairs; keys
-    must be unique strings.  Completed items found in the checkpoint
-    are not re-evaluated (their stored value is decoded instead), which
-    is what makes a resumed run reproduce the uninterrupted result.
-    Evaluation failures (any :class:`~repro.errors.ReproError`) are
-    recorded, not raised — the sweep continues until done or out of
-    budget.  ``encode``/``decode`` convert results to/from
-    JSON-serialisable form for the checkpoint file.  ``progress`` (a
-    :class:`~repro.obs.progress.SweepProgress`) receives one
-    ``advance`` per evaluated item and ``note_restored`` for items
-    skipped via the checkpoint.
-    """
-    keys = [key for key, _thunk in items]
-    if len(set(keys)) != len(keys):
-        raise ConfigurationError("sweep item keys must be unique")
-    if save_every < 1:
-        raise ConfigurationError("save_every must be >= 1")
-    encode = encode or (lambda value: value)
-    decode = decode or (lambda value: value)
-
-    done: Dict[str, Any] = {}
-    if checkpoint is not None:
-        done = checkpoint.load() or {}
-    if progress is not None and done:
-        progress.note_restored(len(done))
-
-    clock = BudgetClock(budget)
-    failures: List[str] = []
-    exhausted: Optional[str] = None
-    interrupted = False
-    dirty = 0
-    try:
-        with obs.span("sweep.run", items=len(items)):
-            for key, thunk in items:
-                if key in done:
-                    continue
-                exhausted = clock.exhausted()
-                if exhausted is not None:
-                    _log.info("sweep stopped on %s after %d item(s)",
-                              exhausted, len(done))
-                    break
-                try:
-                    result = thunk()
-                except ReproError as exc:
-                    _log.warning("sweep item %r failed: %s", key, exc)
-                    obs.metrics().counter("sweep.failures").inc()
-                    failures.append(key)
-                    clock.fail()
-                    if progress is not None:
-                        progress.advance(failed=1)
-                    continue
-                done[key] = encode(result)
-                dirty += 1
-                if progress is not None:
-                    progress.advance(completed=1)
-                if checkpoint is not None and dirty >= save_every:
-                    checkpoint.save(done)
-                    dirty = 0
-    except KeyboardInterrupt:
-        # Graceful interruption (Ctrl-C, or SIGTERM routed here by the
-        # executor's trap): keep the accounting, write the final
-        # checkpoint below, and hand back a partial outcome instead of
-        # losing the run.
-        interrupted = True
-        pending = sum(1 for key, _thunk in items
-                      if key not in done and key not in failures)
-        _log.warning("sweep interrupted: %d item(s) done, %d pending",
-                     len(done), pending)
-        obs.event("sweep.interrupted", completed=len(done), pending=pending)
-    if checkpoint is not None and dirty:
-        checkpoint.save(done)
-
-    results = {key: decode(done[key]) for key in keys if key in done}
-    return SweepOutcome(
-        results=results,
-        completed=len(results),
-        attempted=len(results) + len(failures),
-        failures=tuple(failures),
-        exhausted=exhausted,
-        interrupted=interrupted,
-    )

@@ -180,8 +180,8 @@ class DesignOptimizer:
         points in worker processes (this frozen dataclass pickles, so
         the bound evaluator ships directly) with identical results.
         A ``policy`` (:class:`~repro.exec.SupervisionPolicy`) with any
-        knob enabled adds per-point deadlines, the hang watchdog and
-        seeded retry on top, at any ``jobs`` setting.
+        knob enabled adds deadlines per dispatch unit, the hang
+        watchdog and seeded retry on top, at any ``jobs`` setting.
 
         The grid pricing is analytic (no transient Newton solve), so
         ``batch`` here controls only the executor's dispatch chunking:

@@ -1,29 +1,22 @@
-"""repro.exec — process-parallel execution of keyed work items.
+"""repro.exec — the one sweep executor.
 
-:func:`run_parallel_sweep` is the multi-process twin of
-:func:`repro.checkpoint.run_sweep`: same keys, same
-:class:`~repro.checkpoint.SweepOutcome` accounting, same checkpoint
-file format — plus a ``jobs`` knob that fans evaluation out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` while keeping the
-merged results deterministic (submission order, not completion order).
-
-:mod:`repro.exec.supervise` hardens the same contract for hostile
-conditions: :func:`run_supervised_sweep` adds per-sample deadlines, a
-heartbeat-based hung-worker watchdog, seeded retry with backoff, a
-crash-loop circuit breaker that quarantines repeat offenders, and
-graceful pool-shrink/serial degradation — all configured by a frozen
-:class:`SupervisionPolicy` and reachable from
-:func:`run_parallel_sweep` via its ``policy`` argument.
+:func:`run_parallel_sweep` evaluates keyed ``(key, fn, args)`` work
+items in-process (``jobs=1``) or over a process pool, in dispatch
+units of ``chunk_size`` items, with the same
+:class:`~repro.checkpoint.SweepOutcome` accounting, checkpoint format
+and ordered merge at every setting.  A :class:`SupervisionPolicy`
+(disabled by default) adds a per-unit deadline, a hung-worker
+watchdog, seeded retry with backoff, quarantine and pool degradation;
+:func:`tick` and :func:`sample_deadline` are the cooperative hooks,
+:func:`trap_termination` the SIGTERM trap.
 """
 
 from repro.exec.parallel import run_parallel_sweep
 from repro.exec.supervise import (SupervisionPolicy, TimeoutFailure,
-                                  run_supervised_sweep, sample_deadline,
-                                  tick, trap_termination)
+                                  sample_deadline, tick, trap_termination)
 
 __all__ = [
     "run_parallel_sweep",
-    "run_supervised_sweep",
     "SupervisionPolicy",
     "TimeoutFailure",
     "sample_deadline",

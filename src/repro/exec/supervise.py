@@ -1,129 +1,87 @@
-"""Supervised sweep execution: deadlines, watchdog, retry, degradation.
+"""Supervision policy and the worker-side primitives behind it.
 
-:func:`run_supervised_sweep` is the hardened sibling of
-:func:`repro.exec.parallel.run_parallel_sweep`: same work items, same
-checkpoint format, same :class:`~repro.checkpoint.SweepOutcome`
-accounting — plus a supervision layer that bounds, retries, degrades
-and salvages under process-level faults.  Everything is driven by a
-frozen :class:`SupervisionPolicy`:
+:func:`repro.exec.parallel.run_parallel_sweep` is the one sweep loop;
+this module holds what its supervision needs on both sides of the
+process boundary:
 
-* **Per-sample deadline** (``max_sample_seconds``).  Enforced twice:
-  cooperatively, by :func:`tick` calls inside long solver loops raising
-  :class:`~repro.errors.DeadlineExceeded` in the worker; and by the
-  parent watchdog, which SIGKILLs a worker that blows well past its
-  deadline without cooperating (a non-Python spin, a stuck syscall).
-* **Hung-worker watchdog** (``hang_seconds``).  Workers announce each
-  sample start and send throttled heartbeats over a multiprocessing
-  queue (passed through the pool initializer — the one channel that
-  crosses process creation).  A sample silent for longer than
-  ``hang_seconds`` is declared hung: the parent records a structured
-  :class:`TimeoutFailure`, kills the worker, rebuilds the pool, and
-  requeues every innocent in-flight sample without charging them.
-* **Seeded retry with backoff** (``max_retries``).  A struck sample is
-  resubmitted after ``backoff_base * backoff_factor**(attempt-1)``
-  seconds (capped at ``backoff_max``) with deterministic jitter drawn
-  from a dedicated ``SeedSequence(policy.seed, spawn_key=(index,
-  attempt))`` branch — never from the sample's own model stream, so a
-  retried sample is bit-identical to a first-attempt success.
-* **Crash-loop circuit breaker.**  A sample that exhausts its attempt
-  budget on process-level faults (crash/hang/deadline) is *quarantined*
-  — enumerated separately in ``SweepOutcome.quarantined``, never
-  silently lost.  Samples that only ever failed with a
-  :class:`~repro.errors.ReproError` stay ordinary failures.
-* **Graceful degradation.**  Every ``shrink_after`` pool losses the
-  worker count halves (``exec.supervise.pool_shrink``); at one worker,
-  a further loss falls back to in-process serial evaluation
-  (``exec.supervise.serial_fallback``), where only the cooperative
-  deadline still applies.
-* **Blame isolation.**  A pool break with several samples in flight
-  does not charge anyone: the suspects re-run one at a time, so the
-  next break names a single culprit and innocents keep their full
-  retry budget.
+* :class:`SupervisionPolicy` — four frozen knobs: a per-unit deadline
+  (``max_sample_seconds``), a hung-worker watchdog (``hang_seconds``),
+  a retry budget (``max_retries``) and the root ``seed`` of the retry
+  jitter.  The all-defaults policy is disabled: no channel, no polling,
+  no retry, and a worker crash is an ordinary failure.
+* :func:`tick` — the cooperative hook long solver loops call.  While a
+  dispatch unit is armed it raises
+  :class:`~repro.errors.DeadlineExceeded` past the deadline and ships
+  throttled heartbeats to the parent's watchdog.
+* :func:`sample_deadline` — arms that state for one dispatch unit,
+  in a worker or in-process.
+* :func:`trap_termination` — routes SIGTERM to
+  :class:`KeyboardInterrupt`, so a terminated sweep writes its final
+  checkpoint and returns a partial outcome.
+* :func:`_backoff_delay` — exponential retry delay with jitter drawn
+  from ``SeedSequence(policy.seed, spawn_key=(index, attempt))``, a
+  branch disjoint from every sample's model stream, so a retried
+  sample is bit-identical to a first-attempt success.
 
-Every decision is emitted through the event log under
-``exec.supervise.*`` kinds.  Results, failures and checkpoint contents
-are merged **in submission order** exactly like the unsupervised
-executor, so a fault-free supervised run — and the surviving samples
-of a faulty one — are bit-identical to ``--jobs 1``.
-
-SIGTERM and Ctrl-C are trapped (:func:`trap_termination`): futures are
-cancelled, the final parent checkpoint is written, and the partial
-outcome comes back with ``interrupted=True`` instead of a traceback.
+The executor contract (dispatch units, blame, budgets, ordered merge)
+is documented in ``docs/ARCHITECTURE.md`` §12.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import logging
 import os
-import pickle
-import queue as queue_module
 import signal
 import threading
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from repro import obs
 from repro.analysis.effects import (deterministic_under_seed,
                                     mutates_global_state, observational,
                                     pure)
-from repro.checkpoint import (BudgetClock, Checkpoint, RunBudget,
-                              SweepOutcome)
-from repro.errors import ConfigurationError, DeadlineExceeded, ReproError
-
-_log = logging.getLogger(__name__)
+from repro.errors import ConfigurationError, DeadlineExceeded
 
 #: Slack added to ``max_sample_seconds`` before the parent hard-kills a
 #: worker: the cooperative :func:`tick` raise gets first claim on the
-#: deadline, the SIGKILL is the backstop for non-cooperating samples.
+#: deadline, the SIGKILL is the backstop for non-cooperating units.
 _KILL_GRACE = 0.25
 
 #: How long the parent waits for in-flight futures to settle after a
 #: pool break before abandoning their results.
 _SETTLE_SECONDS = 5.0
 
+#: Retry delay: ``_BACKOFF_BASE * _BACKOFF_FACTOR**(attempt-1)`` seconds,
+#: capped at ``_BACKOFF_MAX``, times ``1 + _JITTER_FRACTION * U(-1, 1)``.
+_BACKOFF_BASE = 0.05
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 2.0
+_JITTER_FRACTION = 0.25
 
-# -- policy -------------------------------------------------------------------
+#: Pool losses before the worker count halves; a single-worker pool
+#: lost again falls back to in-process evaluation.
+_SHRINK_AFTER = 2
+
+#: Parent loop cadence while a deadline or the hang watchdog is armed.
+_POLL_SECONDS = 0.02
 
 
 @dataclasses.dataclass(frozen=True)
 class SupervisionPolicy:
     """Frozen knobs for one supervised sweep (``None`` = that guard off).
 
-    ``enabled`` is False for the all-defaults policy, in which case
-    :func:`repro.exec.parallel.run_parallel_sweep` never enters the
-    supervised loop at all — disabled supervision costs nothing.
+    ``enabled`` is False for the all-defaults policy, which is the
+    executor's default: disabled supervision costs nothing.
     """
 
-    #: Hard per-sample wall-clock ceiling (cooperative raise, then kill).
+    #: Hard per-unit wall-clock ceiling (cooperative raise, then kill).
     max_sample_seconds: Optional[float] = None
-    #: Heartbeat silence after which an in-flight sample counts as hung.
+    #: Heartbeat silence after which an in-flight unit counts as hung.
     hang_seconds: Optional[float] = None
-    #: Extra attempts per sample after the first (0 = never retry).
+    #: Extra attempts per item after the first (0 = never retry).
     max_retries: int = 0
-    #: Whether :class:`~repro.errors.ReproError` failures are retried
-    #: too, or only process-level faults (crash/hang/deadline).
-    retry_failures: bool = True
-    #: First retry delay in seconds.
-    backoff_base: float = 0.05
-    #: Multiplier applied per further attempt.
-    backoff_factor: float = 2.0
-    #: Ceiling on the un-jittered delay.
-    backoff_max: float = 2.0
-    #: Jitter amplitude: delay *= 1 + jitter_fraction * U(-1, 1).
-    jitter_fraction: float = 0.25
-    #: Pool losses before the worker count halves (degradation).
-    shrink_after: int = 2
-    #: Fall back to in-process serial evaluation once a single-worker
-    #: pool is lost again (cooperative deadline only).
-    serial_fallback: bool = True
-    #: Parent supervision loop cadence.
-    poll_seconds: float = 0.02
     #: Root entropy for the retry-jitter stream (independent of every
     #: sample's model stream by construction).
     seed: int = 0
@@ -132,9 +90,14 @@ class SupervisionPolicy:
     @pure
     def enabled(self) -> bool:
         """True when any guard is active (deadline, watchdog, retry)."""
+        return self.watchdog or self.max_retries > 0
+
+    @property
+    @pure
+    def watchdog(self) -> bool:
+        """True when the parent must watch heartbeats and the clock."""
         return (self.max_sample_seconds is not None
-                or self.hang_seconds is not None
-                or self.max_retries > 0)
+                or self.hang_seconds is not None)
 
     @pure
     def validate(self) -> None:
@@ -146,18 +109,6 @@ class SupervisionPolicy:
             raise ConfigurationError("hang_seconds must be > 0")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.backoff_base < 0:
-            raise ConfigurationError("backoff_base must be >= 0")
-        if self.backoff_factor < 1:
-            raise ConfigurationError("backoff_factor must be >= 1")
-        if self.backoff_max < self.backoff_base:
-            raise ConfigurationError("backoff_max must be >= backoff_base")
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ConfigurationError("jitter_fraction must be in [0, 1]")
-        if self.shrink_after < 1:
-            raise ConfigurationError("shrink_after must be >= 1")
-        if self.poll_seconds <= 0:
-            raise ConfigurationError("poll_seconds must be > 0")
 
     @pure
     def beat_seconds(self) -> float:
@@ -180,7 +131,7 @@ class SupervisionPolicy:
 
 @dataclasses.dataclass(frozen=True)
 class TimeoutFailure:
-    """One deadline/hang strike against a sample (possibly non-final)."""
+    """One deadline/hang strike against an item (possibly non-final)."""
 
     key: str
     kind: str  # "deadline" | "hang"
@@ -197,17 +148,16 @@ class TimeoutFailure:
 # -- worker-side state (per-process globals, set via the pool initializer) ----
 
 _CHANNEL: Optional[Any] = None  # heartbeat queue, inherited at fork/spawn
-_KEY: Optional[str] = None  # key of the sample this worker is evaluating
-_ATTEMPT: int = 0  # attempt number of the current evaluation
-_STARTED: float = 0.0  # monotonic time the current sample started
-_DEADLINE: Optional[float] = None  # cooperative per-sample ceiling
+_TOKEN: Optional[Any] = None  # id of the armed dispatch unit (None = off)
+_STARTED: float = 0.0  # monotonic time the armed unit started
+_DEADLINE: Optional[float] = None  # cooperative per-unit ceiling
 _BEAT_EVERY: float = 0.0  # min seconds between heartbeats (0 = off)
 _LAST_BEAT: float = 0.0
 
 
 @mutates_global_state
 def _init_worker(channel: Any) -> None:
-    """Pool initializer: adopt the parent's heartbeat queue.
+    """Pool initializer: adopt the parent's heartbeat queue (or None).
 
     Also restores the default SIGTERM disposition — a forked worker
     must not inherit the parent's :func:`trap_termination` handler
@@ -223,12 +173,10 @@ def _init_worker(channel: Any) -> None:
 
 
 @mutates_global_state
-def _arm(key: str, deadline: Optional[float], beat_every: float,
-         attempt: int) -> None:
-    """Install the per-sample watchdog state for this process."""
-    global _KEY, _ATTEMPT, _STARTED, _DEADLINE, _BEAT_EVERY, _LAST_BEAT
-    _KEY = key
-    _ATTEMPT = attempt
+def _arm(token: Any, deadline: Optional[float], beat_every: float) -> None:
+    """Install the per-unit watchdog state for this process."""
+    global _TOKEN, _STARTED, _DEADLINE, _BEAT_EVERY, _LAST_BEAT
+    _TOKEN = token
     _STARTED = time.monotonic()
     _LAST_BEAT = _STARTED
     _DEADLINE = deadline
@@ -237,11 +185,21 @@ def _arm(key: str, deadline: Optional[float], beat_every: float,
 
 @mutates_global_state
 def _disarm() -> None:
-    """Clear the per-sample watchdog state (sample finished)."""
-    global _KEY, _DEADLINE, _BEAT_EVERY
-    _KEY = None
+    """Clear the per-unit watchdog state (unit finished)."""
+    global _TOKEN, _DEADLINE, _BEAT_EVERY
+    _TOKEN = None
     _DEADLINE = None
     _BEAT_EVERY = 0.0
+
+
+@observational
+def _send(kind: str) -> None:
+    """Ship one ``(kind, unit token, pid)`` message to the parent."""
+    if _CHANNEL is not None:
+        try:
+            _CHANNEL.put((kind, _TOKEN, os.getpid()))
+        except Exception:  # noqa: D307 - channel torn down: parent is
+            pass           # exiting, nobody is listening any more
 
 
 @mutates_global_state
@@ -249,25 +207,21 @@ def _note_beat(now: float) -> None:
     """Record and ship one heartbeat (throttle bookkeeping is global)."""
     global _LAST_BEAT
     _LAST_BEAT = now
-    if _CHANNEL is not None:
-        try:
-            _CHANNEL.put(("beat", _KEY, os.getpid(), _ATTEMPT))
-        except Exception:  # noqa: D307 - channel torn down: parent is
-            pass           # exiting, nobody is listening any more
+    _send("beat")
 
 
 @observational
 def tick() -> None:
     """Supervision hook for long loops (transient steps, recovery rungs).
 
-    Near-zero cost when no sample is armed.  When one is, this check
-    (a) raises :class:`~repro.errors.DeadlineExceeded` once the sample
+    Near-zero cost when no unit is armed.  When one is, this check
+    (a) raises :class:`~repro.errors.DeadlineExceeded` once the unit
     overruns its cooperative deadline, and (b) ships a throttled
-    heartbeat so the parent's hang watchdog knows the sample is alive.
+    heartbeat so the parent's hang watchdog knows the unit is alive.
     Annotated ``@observational``: under a fault-free run it observes
     the clock and never changes any computed value.
     """
-    if _KEY is None:
+    if _TOKEN is None:
         return
     now = time.monotonic()
     if _DEADLINE is not None and now - _STARTED > _DEADLINE:
@@ -279,120 +233,42 @@ def tick() -> None:
 
 
 @contextlib.contextmanager
-def sample_deadline(key: str, seconds: Optional[float],
-                    attempt: int = 1) -> Iterator[None]:
-    """Cooperative per-sample deadline for in-process evaluation.
+def sample_deadline(token: Any, seconds: Optional[float],
+                    beat_every: float = 0.0) -> Iterator[None]:
+    """Arm the cooperative deadline (and heartbeats) for one unit.
 
-    Used by the serial supervised path (and the serial fallback): arms
-    the same state :func:`tick` checks, without a heartbeat channel.
+    The state is what :func:`tick` checks; the heartbeats go to the
+    parent only inside a worker that holds a channel.
     """
-    _arm(key, seconds, 0.0, attempt)
-    try:
+    _arm(token, seconds, beat_every)  # noqa: D303 - worker-local
+    try:                                #   watchdog state for tick()
         yield
     finally:
-        _disarm()
-
-
-@pure
-def _portable_error(exc: Exception) -> Exception:
-    """``exc`` if it survives pickling, else a string-carrying stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:  # noqa: D307 - the stand-in *is* the record
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
-
-
-@mutates_global_state
-def _supervised_call(key: str, fn: Callable[..., Any], args: Tuple[Any, ...],
-                     deadline: Optional[float], beat_every: float,
-                     instrument: bool, attempt: int):
-    """Worker-side evaluation of one supervised sample.
-
-    Announces the start over the heartbeat channel, arms the
-    cooperative deadline, evaluates, and returns ``((key, status,
-    payload), telemetry)`` — status ``"ok"`` carries the value,
-    ``"timeout"`` a cooperative deadline raise, ``"fail"`` a
-    stringified :class:`ReproError`, ``"raise"`` the original exception
-    to re-raise in the parent.  Telemetry instances are fresh per call
-    (the parent merges snapshots in submission order), mirroring
-    :func:`repro.exec.parallel._run_chunk`.
-    """
-    if _CHANNEL is not None:
-        try:
-            _CHANNEL.put(("start", key, os.getpid(), attempt))
-        except Exception:  # noqa: D307 - parent gone; the result return
-            pass           # path still reports everything that matters
-    telemetry = None
-    if instrument:
-        registry = obs.MetricsRegistry()
-        event_log = obs.EventLog()
-        recorder = obs.TimeSeriesRecorder()
-        # Same sanctioned worker-side setup as the unsupervised chunk
-        # runner: fresh instances, parent-side ordered merge.
-        obs.enable(registry=registry, tracer=obs.Tracer(),  # noqa: D303
-                   events=event_log, timeseries=recorder)
-    _arm(key, deadline, beat_every, attempt)  # noqa: D303 - worker-local
-    #                                           watchdog state for tick()
-    try:
-        try:
-            value = fn(*args)
-        except DeadlineExceeded as exc:
-            result = (key, "timeout", str(exc))
-        except ReproError as exc:
-            result = (key, "fail", f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # noqa: D307 - not a swallow: shipped
-            #                       to the parent as a portable error
-            #                       and re-raised there verbatim
-            result = (key, "raise", _portable_error(exc))
-        else:
-            result = (key, "ok", value)
-    finally:
         _disarm()  # noqa: D303 - worker-local watchdog state for tick()
-    if instrument:
-        telemetry = {
-            "metrics": registry.snapshot(),
-            "events": event_log.to_dicts(),
-            "timeseries": recorder.snapshot(),
-        }
-    return result, telemetry
-
-
-@observational
-def _merge_item_telemetry(telemetry) -> None:
-    """Fold one sample's worker telemetry into the parent's instances."""
-    if telemetry is None or not obs.is_enabled():
-        return
-    obs.metrics().merge_snapshot(telemetry.get("metrics", {}))
-    obs.events().extend(telemetry.get("events", []))
-    obs.timeseries().merge_snapshot(telemetry.get("timeseries", {}))
 
 
 @deterministic_under_seed
 def _backoff_delay(policy: SupervisionPolicy, index: int,
                    attempt: int) -> float:
-    """Retry delay for one (sample, attempt): exponential + seeded jitter.
+    """Retry delay for one (item, attempt): exponential + seeded jitter.
 
     The jitter generator is seeded from ``SeedSequence(policy.seed,
     spawn_key=(index, attempt))`` — a branch of the policy's entropy
     tree that is disjoint from every sample's model stream, so backoff
     randomness can never perturb what a retried sample computes.
     """
-    base = min(policy.backoff_max,
-               policy.backoff_base * policy.backoff_factor ** (attempt - 1))
-    if policy.jitter_fraction <= 0 or base <= 0:
-        return base
+    base = min(_BACKOFF_MAX, _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempt - 1))
     seq = np.random.SeedSequence(entropy=policy.seed,
                                  spawn_key=(index, attempt))
     u = float(np.random.default_rng(seq).random())
-    return base * (1.0 + policy.jitter_fraction * (2.0 * u - 1.0))
+    return base * (1.0 + _JITTER_FRACTION * (2.0 * u - 1.0))
 
 
 @contextlib.contextmanager
 def trap_termination() -> Iterator[None]:
     """Route SIGTERM to :class:`KeyboardInterrupt` for graceful shutdown.
 
-    Installed around sweep loops so an orchestrator's TERM gets the
+    Installed around the sweep loop so an orchestrator's TERM gets the
     same cancel-futures / final-checkpoint / partial-outcome treatment
     as Ctrl-C.  A no-op off the main thread or where signals are
     unavailable; the previous handler is always restored.
@@ -420,467 +296,3 @@ def trap_termination() -> Iterator[None]:
         yield
     finally:
         signal.signal(signal.SIGTERM, previous)
-
-
-# -- parent-side supervision ---------------------------------------------------
-
-
-class _Supervised:
-    """Parent-side lifecycle of one work item across its attempts."""
-
-    __slots__ = ("index", "key", "fn", "args", "attempts", "eligible_at",
-                 "future", "pid", "started_at", "last_beat", "submit_attempt",
-                 "status", "value", "detail", "telemetry", "faults")
-
-    def __init__(self, index: int, key: str, fn: Callable[..., Any],
-                 args: Tuple[Any, ...]) -> None:
-        self.index = index
-        self.key = key
-        self.fn = fn
-        self.args = args
-        self.attempts = 0  # charged strikes (crash/hang/deadline/fail)
-        self.eligible_at = 0.0  # monotonic gate for (re)submission
-        self.future = None
-        self.pid: Optional[int] = None
-        self.started_at: Optional[float] = None  # parent receipt of "start"
-        self.last_beat: Optional[float] = None
-        self.submit_attempt = 0  # attempt number riding the live future
-        self.status: Optional[str] = None  # final: "ok"|"fail"|"quarantined"
-        self.value: Any = None
-        self.detail = ""
-        self.telemetry: Optional[dict] = None
-        self.faults: List[str] = []  # one kind per charged strike
-
-    def clear_flight(self) -> None:
-        self.future = None
-        self.pid = None
-        self.started_at = None
-        self.last_beat = None
-
-
-def run_supervised_sweep(items: Sequence[Tuple[str, Callable[..., Any],
-                                               Tuple[Any, ...]]],
-                         policy: SupervisionPolicy,
-                         jobs: int = 1,
-                         checkpoint: Optional[Checkpoint] = None,
-                         budget: Optional[RunBudget] = None,
-                         save_every: int = 1,
-                         encode: Optional[Callable[[Any], Any]] = None,
-                         decode: Optional[Callable[[Any], Any]] = None,
-                         progress: Optional[Any] = None) -> SweepOutcome:
-    """Evaluate keyed work items under a :class:`SupervisionPolicy`.
-
-    Same contract as :func:`repro.exec.parallel.run_parallel_sweep`
-    (unique keys, parent-only checkpoints, submission-order merge,
-    budget enforcement) plus the supervision semantics documented in
-    the module docstring.  With ``jobs=1`` the samples run in-process:
-    the cooperative deadline and the retry/backoff/quarantine ladder
-    apply, the kill-based watchdog does not (there is no worker to
-    kill).
-    """
-    keys = [key for key, _fn, _args in items]
-    if len(set(keys)) != len(keys):
-        raise ConfigurationError("sweep item keys must be unique")
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
-    if save_every < 1:
-        raise ConfigurationError("save_every must be >= 1")
-    policy.validate()
-    encode = encode or (lambda value: value)
-    decode = decode or (lambda value: value)
-
-    done: Dict[str, Any] = {}
-    if checkpoint is not None:
-        done = checkpoint.load() or {}
-    if progress is not None and done:
-        progress.note_restored(len(done))
-
-    states = [_Supervised(index, key, fn, args)
-              for index, (key, fn, args) in enumerate(items)
-              if key not in done]
-    by_key = {state.key: state for state in states}
-
-    clock = BudgetClock(budget)
-    timeouts: List[TimeoutFailure] = []
-    exhausted: Optional[str] = None
-    interrupted = False
-    serial_rest = jobs == 1
-    current_jobs = jobs
-    pool_losses = 0
-    cursor = 0
-    dirty = 0
-    isolate: List[Tuple[_Supervised, int]] = []  # (suspect, attempts then)
-    instrument = obs.is_enabled()
-    beat_every = policy.beat_seconds()
-
-    def _drain() -> None:
-        """Merge the finalized prefix in submission order (telemetry,
-        ``done`` mapping, checkpoint granularity — the determinism
-        contract's ordered merge)."""
-        nonlocal cursor, dirty
-        while cursor < len(states) and states[cursor].status is not None:
-            state = states[cursor]
-            _merge_item_telemetry(state.telemetry)
-            state.telemetry = None
-            if state.status == "ok":
-                done[state.key] = encode(state.value)
-                state.value = None
-                dirty += 1
-                if checkpoint is not None and dirty >= save_every:
-                    checkpoint.save(done)
-                    dirty = 0
-            cursor += 1
-
-    def _charge(state: _Supervised, kind: str, detail: str,
-                elapsed: Optional[float] = None,
-                limit: Optional[float] = None) -> None:
-        """One strike against a sample: retry with backoff or retire it."""
-        state.attempts += 1
-        state.faults.append(kind)
-        if kind in ("deadline", "hang"):
-            strike = TimeoutFailure(
-                key=state.key, kind=kind,
-                elapsed_s=float(elapsed if elapsed is not None else 0.0),
-                limit_s=float(limit if limit is not None else 0.0),
-                attempt=state.attempts)
-            timeouts.append(strike)
-            _log.warning("sample %r %s (attempt %d): %s",
-                         state.key, kind, state.attempts, detail)
-            obs.metrics().counter("sweep.supervise.timeouts").inc()
-            obs.event("exec.supervise.timeout", key=state.key, fault=kind,
-                      elapsed_s=strike.elapsed_s, limit_s=strike.limit_s,
-                      attempt=state.attempts)
-        elif kind == "crash":
-            _log.warning("worker crashed evaluating sample %r (attempt %d)",
-                         state.key, state.attempts)
-            obs.metrics().counter("sweep.worker_crashes").inc()
-            obs.event("exec.supervise.crash", key=state.key,
-                      attempt=state.attempts)
-        retryable = policy.retry_failures if kind == "fail" else True
-        if retryable and state.attempts <= policy.max_retries:
-            delay = _backoff_delay(policy, state.index, state.attempts)
-            state.eligible_at = time.monotonic() + delay
-            obs.event("exec.supervise.retry", key=state.key,
-                      attempt=state.attempts, delay_s=round(delay, 6))
-            return
-        process_fault = any(f in ("crash", "hang", "deadline")
-                            for f in state.faults)
-        state.status = "quarantined" if process_fault else "fail"
-        state.detail = detail
-        clock.fail()
-        if state.status == "quarantined":
-            _log.warning("sample %r quarantined after %d attempt(s): %s",
-                         state.key, state.attempts, detail)
-            obs.metrics().counter("sweep.supervise.quarantined").inc()
-            obs.event("exec.supervise.quarantine", key=state.key,
-                      attempts=state.attempts)
-        else:
-            _log.warning("sweep item %r failed: %s", state.key, detail)
-            obs.metrics().counter("sweep.failures").inc()
-        if progress is not None:
-            progress.advance(failed=1)
-
-    def _record_result(state: _Supervised, triple, telemetry) -> None:
-        _key, status, payload = triple
-        if status == "ok":
-            state.status = "ok"
-            state.value = payload
-            state.telemetry = telemetry
-            if progress is not None:
-                progress.advance(completed=1)
-            return
-        if status == "raise":  # a programming error: save, then surface
-            _drain()
-            if checkpoint is not None and dirty:
-                checkpoint.save(done)
-            raise payload
-        kind = "deadline" if status == "timeout" else "fail"
-        _charge(state, kind, payload, limit=policy.max_sample_seconds)
-        if state.status is not None:  # final: keep the last attempt's data
-            state.telemetry = telemetry
-
-    def _serial_pass() -> None:
-        """In-process evaluation: cooperative deadline + retry ladder."""
-        nonlocal exhausted
-        for state in states:
-            while state.status is None:
-                exhausted = clock.exhausted()
-                if exhausted is not None:
-                    _log.info("supervised sweep stopped on %s after "
-                              "%d item(s)", exhausted, len(done))
-                    return
-                delay = state.eligible_at - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                attempt = state.attempts + 1
-                try:
-                    with sample_deadline(state.key,
-                                         policy.max_sample_seconds, attempt):
-                        value = state.fn(*state.args)
-                except DeadlineExceeded as exc:
-                    _charge(state, "deadline", str(exc),
-                            elapsed=exc.elapsed, limit=exc.limit)
-                except ReproError as exc:
-                    _charge(state, "fail", f"{type(exc).__name__}: {exc}")
-                else:
-                    state.status = "ok"
-                    state.value = value
-                    if progress is not None:
-                        progress.advance(completed=1)
-            _drain()
-
-    if serial_rest:
-        with obs.span("sweep.supervised", items=len(items), jobs=jobs):
-            try:
-                with trap_termination():
-                    _serial_pass()
-            except KeyboardInterrupt:
-                interrupted = True
-                pending = sum(1 for s in states if s.status is None)
-                _log.warning("supervised sweep interrupted: %d item(s) "
-                             "done, %d pending", len(done), pending)
-                obs.event("sweep.interrupted", completed=len(done),
-                          pending=pending)
-        _drain()
-        if checkpoint is not None and dirty:
-            checkpoint.save(done)
-        return _outcome(keys, states, done, decode, exhausted, interrupted,
-                        timeouts)
-
-    # -- parallel supervised loop ---------------------------------------------
-
-    from repro.exec.parallel import _pool_context
-
-    context = _pool_context()
-    channel = context.Queue()
-
-    def _new_executor() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=current_jobs,
-                                   mp_context=context,
-                                   initializer=_init_worker,
-                                   initargs=(channel,))
-
-    executor = _new_executor()
-
-    def _submit_one(state: _Supervised) -> None:
-        state.clear_flight()
-        state.submit_attempt = state.attempts + 1
-        state.future = executor.submit(
-            _supervised_call, state.key, state.fn, state.args,
-            policy.max_sample_seconds, beat_every, instrument,
-            state.submit_attempt)
-
-    def _harvest() -> bool:
-        """Consume finished futures; True when the pool broke."""
-        broke = False
-        for state in states:
-            future = state.future
-            if state.status is not None or future is None:
-                continue
-            if not future.done():
-                continue
-            try:
-                triple, telemetry = future.result()
-            except (BrokenProcessPool, CancelledError, OSError):
-                broke = True  # in-flight marker kept for blame analysis
-                continue
-            state.clear_flight()
-            _record_result(state, triple, telemetry)
-        return broke
-
-    def _pump_channel() -> None:
-        while True:
-            try:
-                message = channel.get_nowait()
-            except queue_module.Empty:
-                return
-            except (OSError, EOFError):  # pragma: no cover - torn queue
-                return
-            kind, key, pid, attempt = message
-            state = by_key.get(key)
-            if (state is None or state.status is not None
-                    or state.future is None
-                    or attempt != state.submit_attempt):
-                continue  # ghost beat from a superseded attempt
-            now = time.monotonic()
-            if kind == "start":
-                state.started_at = now
-                state.pid = pid
-            state.last_beat = now
-
-    def _watchdog_scan() -> bool:
-        """Charge and kill overdue/hung samples; True if any were."""
-        struck = False
-        now = time.monotonic()
-        limit = policy.max_sample_seconds
-        for state in states:
-            if (state.status is not None or state.future is None
-                    or state.started_at is None):
-                continue
-            elapsed = now - state.started_at
-            silence = now - (state.last_beat or state.started_at)
-            kind: Optional[str] = None
-            window = 0.0
-            if limit is not None and elapsed > limit + _KILL_GRACE:
-                kind, window = "deadline", limit
-            elif (policy.hang_seconds is not None
-                    and silence > policy.hang_seconds):
-                kind, window = "hang", policy.hang_seconds
-            if kind is None:
-                continue
-            pid = state.pid
-            state.clear_flight()
-            what = ("worker overran its deadline" if kind == "deadline"
-                    else "worker went silent")
-            _charge(state, kind, what, elapsed=elapsed, limit=window)
-            if pid:
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            struck = True
-        return struck
-
-    def _settle_inflight() -> None:
-        """Give in-flight futures a moment to surface real results."""
-        futures = [s.future for s in states
-                   if s.status is None and s.future is not None]
-        if futures:
-            wait(futures, timeout=_SETTLE_SECONDS)
-            _harvest()
-
-    def _classify_suspects(deliberate: bool) -> None:
-        """Assign blame for a pool break and reset flight markers."""
-        suspects = [s for s in states
-                    if s.status is None and s.future is not None
-                    and s.started_at is not None]
-        for state in states:
-            if state.status is None and state.future is not None:
-                state.clear_flight()
-        if deliberate:
-            return  # the watchdog already charged the culprits
-        if len(suspects) == 1:
-            _charge(suspects[0], "crash", "worker process died")
-        elif len(suspects) > 1:
-            held = {id(s) for s, _n in isolate}
-            fresh = [s for s in suspects if id(s) not in held]
-            isolate.extend((s, s.attempts) for s in fresh)
-            obs.event("exec.supervise.isolate", suspects=len(suspects))
-
-    def _rebuild_pool() -> None:
-        nonlocal executor, pool_losses, current_jobs, serial_rest
-        executor.shutdown(wait=False, cancel_futures=True)
-        pool_losses += 1
-        if pool_losses % policy.shrink_after == 0:
-            if current_jobs > 1:
-                current_jobs = max(1, current_jobs // 2)
-                _log.warning("repeated worker loss: shrinking pool to "
-                             "%d job(s)", current_jobs)
-                obs.event("exec.supervise.pool_shrink", jobs=current_jobs)
-            elif policy.serial_fallback:
-                remaining = sum(1 for s in states if s.status is None)
-                _log.warning("single-worker pool lost again: falling back "
-                             "to serial evaluation of %d item(s)", remaining)
-                obs.event("exec.supervise.serial_fallback",
-                          remaining=remaining)
-                serial_rest = True
-                return
-        executor = _new_executor()
-
-    def _maintain_isolation() -> None:
-        while isolate:
-            suspect, attempts_then = isolate[0]
-            if suspect.status is None and suspect.attempts == attempts_then:
-                return  # still ambiguous: keep it at the head
-            isolate.pop(0)  # finalized, or charged solo (blame resolved)
-
-    def _submit_eligible() -> None:
-        now = time.monotonic()
-        try:
-            if isolate:  # one suspect at a time: the next break has a name
-                suspect = isolate[0][0]
-                if suspect.future is None and suspect.eligible_at <= now:
-                    _submit_one(suspect)
-                return
-            for state in states:
-                if (state.status is None and state.future is None
-                        and state.eligible_at <= now):
-                    _submit_one(state)
-        except BrokenProcessPool:
-            return  # pool died under us: next harvest assigns blame
-
-    try:
-        with obs.span("sweep.supervised", items=len(items), jobs=jobs):
-            try:
-                with trap_termination():
-                    while True:
-                        exhausted = clock.exhausted()
-                        if exhausted is not None:
-                            _log.info("supervised sweep stopped on %s "
-                                      "after %d item(s)", exhausted,
-                                      len(done))
-                            break
-                        if all(s.status is not None for s in states):
-                            break
-                        broke = _harvest()
-                        _drain()
-                        _maintain_isolation()
-                        _pump_channel()
-                        struck = _watchdog_scan()
-                        if broke or struck:
-                            _settle_inflight()
-                            _classify_suspects(deliberate=struck)
-                            _rebuild_pool()
-                            if serial_rest:
-                                break
-                            _maintain_isolation()
-                            continue
-                        _submit_eligible()
-                        time.sleep(policy.poll_seconds)
-            except KeyboardInterrupt:
-                interrupted = True
-                pending = sum(1 for s in states if s.status is None)
-                _log.warning("supervised sweep interrupted: %d item(s) "
-                             "done, %d pending", len(done), pending)
-                obs.event("sweep.interrupted", completed=len(done),
-                          pending=pending)
-        if serial_rest and not interrupted and exhausted is None:
-            try:
-                with trap_termination():
-                    _serial_pass()
-            except KeyboardInterrupt:
-                interrupted = True
-                pending = sum(1 for s in states if s.status is None)
-                obs.event("sweep.interrupted", completed=len(done),
-                          pending=pending)
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-        try:
-            channel.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-    _drain()
-    if checkpoint is not None and dirty:
-        checkpoint.save(done)
-    return _outcome(keys, states, done, decode, exhausted, interrupted,
-                    timeouts)
-
-
-def _outcome(keys: Sequence[str], states: Sequence[_Supervised],
-             done: Dict[str, Any], decode: Callable[[Any], Any],
-             exhausted: Optional[str], interrupted: bool,
-             timeouts: Sequence[TimeoutFailure]) -> SweepOutcome:
-    """Fold supervised per-item states into a :class:`SweepOutcome`."""
-    failures = tuple(s.key for s in states if s.status == "fail")
-    quarantined = tuple(s.key for s in states if s.status == "quarantined")
-    results = {key: decode(done[key]) for key in keys if key in done}
-    return SweepOutcome(
-        results=results,
-        completed=len(results),
-        attempted=len(results) + len(failures) + len(quarantined),
-        failures=failures,
-        exhausted=exhausted,
-        quarantined=quarantined,
-        interrupted=interrupted,
-        timeouts=tuple(timeouts),
-    )

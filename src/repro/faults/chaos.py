@@ -8,8 +8,9 @@ files are torn mid-write or corrupted; the JSONL event sink runs out
 of disk.  Every injection is drawn from a seeded :class:`ChaosPlan`,
 so a chaos run is exactly as replayable as the sweep it attacks.
 
-The harness then checks the promises the supervision layer makes
-(:mod:`repro.exec.supervise`):
+The harness then checks the promises the sweep executor makes under
+a :class:`~repro.exec.SupervisionPolicy`
+(:func:`repro.exec.run_parallel_sweep`):
 
 * **zero silently-lost samples** — every key ends up in ``results``,
   ``failures`` or ``quarantined``;

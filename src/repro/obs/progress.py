@@ -6,16 +6,16 @@ self-overwriting status line::
 
     mc:  1337/10000  412.3/s  eta 21s  failures 2
 
-It is deliberately dumb and cheap: the sweep harnesses call
+It is deliberately dumb and cheap: the sweep loop calls
 :meth:`advance` once per merged item, and the reporter re-renders at
 most every ``min_interval`` seconds.  By default the line only appears
 when the stream is a TTY (CI logs stay clean); ``enabled=True`` forces
 it (the ``--progress`` flag), ``enabled=False`` silences it.
 
-The counts come from the parent's deterministic ordered merge — the
-executor forwards worker results (and their telemetry) in submission
-order — so the progress line never observes a state the final
-:class:`~repro.checkpoint.SweepOutcome` would not.
+The counts come from the parent's deterministic ordered merge — one
+``advance`` per merged item, a Monte-Carlo sample even inside a
+``--batch`` unit — so the progress line ends on the final
+:class:`~repro.checkpoint.SweepOutcome`'s completed/failed counts.
 """
 
 from __future__ import annotations
@@ -106,50 +106,6 @@ class SweepProgress:
             self.stream.write("\n")
             self.stream.flush()
             self._line_open = False
-
-
-class BatchSampleProgress:
-    """Adapt a per-item reporter to per-*sample* counts for ``--batch``.
-
-    When each sweep item is a whole batch of Monte-Carlo samples, the
-    executor's one-``advance``-per-merged-item contract would make the
-    rate/ETA line count *batches*.  This adapter sits between the sweep
-    and a :class:`SweepProgress` built with ``total=samples``: items
-    arrive in submission order (the executor's ordered-merge promise),
-    so the ``k``-th advance corresponds to the ``k``-th batch and is
-    forwarded scaled by that batch's known sample count.
-
-    A batch that comes back *failed* at the item level (worker crash)
-    marks all of its samples failed.  Per-sample failures hidden inside
-    a successfully returned batch are reconciled by the caller's final
-    accounting, not the live line — the line may briefly overcount
-    completions by at most one batch's worth.
-    """
-
-    def __init__(self, inner: SweepProgress,
-                 sizes: "list[int]") -> None:
-        self._inner = inner
-        self._sizes = list(sizes)
-        self._index = 0
-
-    def _next_size(self) -> int:
-        size = (self._sizes[self._index]
-                if self._index < len(self._sizes) else 1)
-        self._index += 1
-        return size
-
-    def note_restored(self, count: int) -> None:
-        """``count`` leading items already done (restores are a prefix
-        of the submission order in the sequential MC schema)."""
-        samples = sum(self._sizes[:count])
-        self._index = count
-        self._inner.note_restored(samples)
-
-    def advance(self, completed: int = 0, failed: int = 0) -> None:
-        for _ in range(completed):
-            self._inner.advance(completed=self._next_size())
-        for _ in range(failed):
-            self._inner.advance(failed=self._next_size())
 
 
 def _format_seconds(seconds: float) -> str:

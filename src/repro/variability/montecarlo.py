@@ -6,9 +6,11 @@ which brute-force sampling cannot reach (P(6 sigma) ~ 1e-9) — exactly
 why analytic tail extrapolation on a fitted distribution is the standard
 memory-design practice this module implements.
 
-``batch > 1`` vectorizes the sampling axis: when the model is a
-:class:`~repro.spice.batch.BatchTransientModel`, consecutive samples are
-solved together by the batched stamp-plan Newton engine
+``batch > 1`` vectorizes the sampling axis: it is the executor's
+dispatch unit, and when the model is a
+:class:`~repro.spice.batch.BatchTransientModel` the ``batch`` consecutive
+samples of a unit are solved together by the batched stamp-plan Newton
+engine
 (:func:`~repro.spice.batch.eval_model_batch`), which is bit-identical to
 the per-sample serial path by construction — so every ``batch`` setting
 produces the same statistics and resumes from the same checkpoints.  A
@@ -26,10 +28,9 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.effects import deterministic_under_seed
-from repro.checkpoint import BudgetClock, Checkpoint, RunBudget
-from repro.errors import ConfigurationError, ReproError, SimulationError
+from repro.checkpoint import Checkpoint, RunBudget
+from repro.errors import ConfigurationError, SimulationError
 from repro.exec import SupervisionPolicy, run_parallel_sweep
-from repro.obs.progress import BatchSampleProgress
 from repro.spice.batch import BatchTransientModel, eval_model_batch
 
 
@@ -67,21 +68,28 @@ class MonteCarloResult:
 def _mc_eval(model: Callable[[np.random.Generator], float],
              child: np.random.SeedSequence) -> float:
     """One sample from its seed stream (module-level so workers can
-    unpickle it); bit-identical to the serial evaluation."""
+    unpickle it)."""
     return float(model(np.random.default_rng(child)))
 
 
-def _mc_eval_chunk(model: BatchTransientModel,
-                   children) -> List[Tuple[bool, object]]:
-    """One batch of samples, solved together (module-level so workers
-    can unpickle it).  Returns one ``(ok, payload)`` pair per sample —
-    the value on success, the error message on failure — because a
-    chunk task must report sample-level failures as *data*: raising
-    would throw away its siblings' finished results."""
-    outcomes = eval_model_batch(
-        model, [np.random.default_rng(child) for child in children])
-    return [(ok, float(value) if ok else f"{type(value).__name__}: {value}")
-            for ok, value in outcomes]
+class _BatchedEval:
+    """:func:`_mc_eval` whose dispatch units are solved as one batch.
+
+    The executor evaluates a unit of items sharing this callable by one
+    :meth:`batch` call: a single :func:`eval_model_batch` over the
+    samples' own streams, bit-identical to evaluating each, with one
+    ``(ok, value or error)`` outcome per sample.
+    """
+
+    def __call__(self, model: BatchTransientModel,
+                 child: np.random.SeedSequence) -> float:
+        return _mc_eval(model, child)
+
+    @staticmethod
+    def batch(calls) -> List[Tuple[bool, object]]:
+        model = calls[0][0]
+        return eval_model_batch(
+            model, [np.random.default_rng(child) for _model, child in calls])
 
 
 def _effective_batch(model, batch: int) -> int:
@@ -111,73 +119,21 @@ def run_monte_carlo(model: Callable[[np.random.Generator], float],
     """Evaluate ``model`` ``count`` times with independent RNG streams.
 
     Each call receives a generator spawned from a common seed sequence,
-    so results are reproducible yet streams are independent.  With
-    ``jobs > 1`` the samples are evaluated by a process pool — sample
-    ``i`` still draws from child stream ``i``, so the returned samples
-    are bit-identical to a serial run (``model`` must be picklable).
-
-    ``batch > 1`` solves consecutive samples together through the
-    batched transient engine when the model supports it (see the module
-    docstring); with ``jobs > 1`` each worker solves one chunk of
-    ``batch`` samples as a single batch.  Every combination returns
-    bit-identical samples.
+    so results are reproducible yet streams are independent.  This is
+    :func:`run_monte_carlo_resumable` without checkpoint, stopping at
+    the first failed sample with a :class:`SimulationError`.  Every
+    ``jobs`` (process pool; ``model`` must be picklable) and ``batch``
+    (module docstring) setting returns bit-identical samples.
     """
-    if count < 2:
-        raise ConfigurationError("count must be >= 2")
-    batch = _effective_batch(model, batch)
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(count)
-    if jobs > 1:
-        if batch > 1:
-            starts = list(range(0, count, batch))
-            outcome = run_parallel_sweep(
-                [(str(start), _mc_eval_chunk,
-                  (model, children[start:start + batch]))
-                 for start in starts],
-                jobs=jobs)
-            if outcome.failures:
-                raise SimulationError(
-                    f"{len(outcome.failures)} Monte-Carlo batch(es) failed "
-                    f"in parallel evaluation: {', '.join(outcome.failures)}")
-            values: List[float] = []
-            for start in starts:
-                for offset, (ok, payload) in enumerate(
-                        outcome.results[str(start)]):
-                    if not ok:
-                        raise SimulationError(
-                            f"Monte-Carlo sample {start + offset} "
-                            f"failed: {payload}")
-                    values.append(payload)
-            return MonteCarloResult(samples=np.array(values, dtype=float))
-        outcome = run_parallel_sweep(
-            [(str(index), _mc_eval, (model, child))
-             for index, child in enumerate(children)],
-            jobs=jobs)
-        if outcome.failures:
-            raise SimulationError(
-                f"{len(outcome.failures)} Monte-Carlo sample(s) failed "
-                f"in parallel evaluation: {', '.join(outcome.failures)}")
-        samples = np.array([outcome.results[str(index)]
-                            for index in range(count)], dtype=float)
-        return MonteCarloResult(samples=samples)
-    if batch > 1:
-        values = []
-        for start in range(0, count, batch):
-            outcomes = eval_model_batch(
-                model, [np.random.default_rng(child)
-                        for child in children[start:start + batch]])
-            for ok, value in outcomes:
-                if not ok:
-                    # The serial path would have raised this very error
-                    # at this very sample; re-raising the instance keeps
-                    # the two paths indistinguishable to callers.
-                    raise value
-                values.append(float(value))
-        return MonteCarloResult(samples=np.array(values, dtype=float))
-    samples = np.array([
-        model(np.random.default_rng(child)) for child in children
-    ], dtype=float)
-    return MonteCarloResult(samples=samples)
+    outcome = run_monte_carlo_resumable(
+        model, count, seed=seed, jobs=jobs, batch=batch,
+        budget=RunBudget(max_failures=1))
+    if outcome.failed:
+        raise SimulationError(
+            f"Monte-Carlo sample {outcome.attempted - 1} of {count} failed")
+    if outcome.result is None or not outcome.complete:
+        raise KeyboardInterrupt  # the sweep was interrupted, not finished
+    return outcome.result
 
 
 @dataclasses.dataclass(frozen=True)
@@ -215,13 +171,14 @@ class _SequentialStateCheckpoint:
 
     :func:`run_parallel_sweep` snapshots a ``{key: value}`` mapping;
     the MC checkpoint schema is ``{"next", "samples", "failed"}``.
-    Because the executor merges in submission order, the ``done`` keys
-    are always a contiguous run of sample indexes, which translates
-    exactly.  A *failed* sample leaves a hole, so mid-run saves advance
-    ``next`` only up to the first new failure — resuming from such a
-    snapshot deterministically recomputes (and re-fails) the same
-    samples, keeping the final statistics bit-identical; the caller
-    writes the exact reconciled state once the sweep returns.
+    Because the executor merges in item order, the ``done`` keys are
+    always a contiguous run of sample indexes, which translates exactly
+    at every ``jobs`` and ``batch``.  A *failed* sample leaves a hole,
+    so mid-run saves advance ``next`` only up to the first new failure
+    — resuming from such a snapshot deterministically recomputes (and
+    re-fails) the same samples, keeping the final statistics
+    bit-identical; the caller writes the exact reconciled state once
+    the sweep returns.
     """
 
     def __init__(self, checkpoint: Checkpoint, state: dict) -> None:
@@ -243,133 +200,6 @@ class _SequentialStateCheckpoint:
                                "failed": list(self._failed0)})
 
 
-class _ChunkStateCheckpoint:
-    """Chunk-task twin of :class:`_SequentialStateCheckpoint`.
-
-    With ``batch > 1`` each sweep item is a whole chunk, keyed by its
-    first sample index and valued by the per-sample ``(ok, payload)``
-    list from :func:`_mc_eval_chunk`.  Saves expand completed chunks —
-    in index order, stopping at the first gap — back into the
-    per-sample ``{"next", "samples", "failed"}`` schema, so a
-    ``--batch`` run's checkpoints are byte-compatible with (and
-    resumable by) ``--jobs 1 --batch 1`` and every other combination.
-    """
-
-    def __init__(self, checkpoint: Checkpoint, state: dict) -> None:
-        self._checkpoint = checkpoint
-        self._next0 = int(state["next"])
-        self._samples0 = list(state["samples"])
-        self._failed0 = list(state["failed"])
-
-    def load(self) -> None:
-        return None  # the caller already consumed the base state
-
-    def save(self, done: dict) -> None:
-        samples = list(self._samples0)
-        failed = list(self._failed0)
-        index = self._next0
-        while str(index) in done:
-            chunk = done[str(index)]
-            for offset, (ok, payload) in enumerate(chunk):
-                if ok:
-                    samples.append(payload)
-                else:
-                    failed.append(index + offset)
-            index += len(chunk)
-        self._checkpoint.save({"next": index, "samples": samples,
-                               "failed": failed})
-
-
-def _run_mc_parallel(model, count: int, children, state: dict,
-                     checkpoint: Optional[Checkpoint],
-                     budget: Optional[RunBudget],
-                     save_every: int, jobs: int,
-                     progress=None,
-                     policy: Optional[SupervisionPolicy] = None,
-                     batch: int = 1) -> Optional[str]:
-    """Parallel sample evaluation; folds results into ``state`` in
-    index order and returns the exhausted-budget reason (if any)."""
-    if (budget is not None and budget.max_failures is not None
-            and len(state["failed"]) >= budget.max_failures):
-        return "max_failures"
-    sub_budget = budget
-    if budget is not None and budget.max_failures is not None:
-        sub_budget = RunBudget(
-            max_seconds=budget.max_seconds,
-            max_failures=budget.max_failures - len(state["failed"]))
-    start = state["next"]
-    if batch > 1:
-        return _run_mc_parallel_batched(
-            model, count, children, state, checkpoint, sub_budget,
-            save_every, jobs, progress, policy, batch, start)
-    adapter = (_SequentialStateCheckpoint(checkpoint, state)
-               if checkpoint is not None else None)
-    outcome = run_parallel_sweep(
-        [(str(index), _mc_eval, (model, children[index]))
-         for index in range(start, count)],
-        jobs=jobs, checkpoint=adapter, budget=sub_budget,
-        save_every=save_every, progress=progress, policy=policy)
-    failed_keys = set(outcome.failures) | set(outcome.quarantined)
-    for index in range(start, count):
-        key = str(index)
-        if key in outcome.results:
-            state["samples"].append(outcome.results[key])
-        elif key in failed_keys:
-            state["failed"].append(index)
-        else:
-            break  # the budget stopped the merge before this sample
-        state["next"] = index + 1
-    if checkpoint is not None:
-        checkpoint.save(state)
-    return outcome.exhausted
-
-
-def _run_mc_parallel_batched(model, count: int, children, state: dict,
-                             checkpoint: Optional[Checkpoint],
-                             sub_budget: Optional[RunBudget],
-                             save_every: int, jobs: int,
-                             progress, policy, batch: int,
-                             start: int) -> Optional[str]:
-    """Chunked twin of the parallel merge: each sweep item is one batch
-    of ``batch`` samples solved together by a worker.
-
-    Sample-level failures inside a returned chunk are data, not task
-    failures (see :func:`_mc_eval_chunk`), so they do not count against
-    the executor's failure budget mid-sweep — only against the final
-    accounting.  A whole-chunk failure (worker crash) fails every sample
-    in the chunk.
-    """
-    starts = list(range(start, count, batch))
-    sizes = [min(batch, count - s) for s in starts]
-    adapter = (_ChunkStateCheckpoint(checkpoint, state)
-               if checkpoint is not None else None)
-    sweep_progress = (BatchSampleProgress(progress, sizes)
-                      if progress is not None else None)
-    outcome = run_parallel_sweep(
-        [(str(s), _mc_eval_chunk, (model, children[s:s + batch]))
-         for s in starts],
-        jobs=jobs, checkpoint=adapter, budget=sub_budget,
-        save_every=max(1, save_every // batch),
-        progress=sweep_progress, policy=policy)
-    failed_keys = set(outcome.failures) | set(outcome.quarantined)
-    for s, size in zip(starts, sizes):
-        key = str(s)
-        if key in outcome.results:
-            for offset, (ok, payload) in enumerate(outcome.results[key]):
-                if ok:
-                    state["samples"].append(payload)
-                else:
-                    state["failed"].append(s + offset)
-        elif key in failed_keys:
-            state["failed"].extend(range(s, s + size))
-        else:
-            break  # the budget stopped the merge before this chunk
-        state["next"] = s + size
-    if checkpoint is not None:
-        checkpoint.save(state)
-    return outcome.exhausted
-
-
 def run_monte_carlo_resumable(model: Callable[[np.random.Generator], float],
                               count: int,
                               seed: Optional[int] = 0,
@@ -380,51 +210,33 @@ def run_monte_carlo_resumable(model: Callable[[np.random.Generator], float],
                               progress=None,
                               policy: Optional[SupervisionPolicy] = None,
                               batch: int = 1) -> MonteCarloOutcome:
-    """Checkpointed, budget-bounded variant of :func:`run_monte_carlo`.
+    """Checkpointed, budget-bounded Monte-Carlo over ``count`` samples.
 
-    Sample ``i`` always draws from child stream ``i`` of the seed
-    sequence, so a run killed mid-sweep and resumed from its checkpoint
-    produces *bit-identical* statistics to an uninterrupted run with the
-    same seed.  A sample whose model raises a
-    :class:`~repro.errors.ReproError` is recorded as failed and skipped
-    (deterministically — the same seed fails the same sample), counting
-    against ``budget.max_failures``.
+    Sample ``i`` is sweep item ``str(i)`` and always draws from child
+    stream ``i`` of the seed sequence, so a run killed mid-sweep and
+    resumed from its checkpoint produces *bit-identical* statistics to
+    an uninterrupted run with the same seed.  A sample whose model
+    raises a :class:`~repro.errors.ReproError` is recorded as failed
+    and skipped (deterministically — the same seed fails the same
+    sample), counting against ``budget.max_failures``.
 
-    With ``jobs > 1`` the samples are evaluated by a process pool (the
-    model must be picklable); results are merged in index order, the
-    checkpoint keeps the sequential schema and is written only by this
-    parent process, so serial and parallel runs — and any mix of the
-    two across resumes — produce bit-identical statistics.  A worker
-    crash is recorded as that one sample failing, not the whole sweep.
-
-    ``progress`` (a :class:`~repro.obs.progress.SweepProgress`) receives
-    ``note_restored`` for checkpointed samples and one ``advance`` per
-    evaluated sample, which drives the CLI's live status line.
-
-    A ``policy`` (:class:`~repro.exec.SupervisionPolicy`) with any
-    knob enabled routes evaluation through the supervised executor —
-    per-sample deadlines, hang watchdog, seeded retry/backoff and
-    quarantine — at any ``jobs`` setting; quarantined samples are
-    counted as failed.
-
-    ``batch > 1`` solves consecutive samples together through the
-    batched transient engine when the model supports it (module
-    docstring).  The checkpoint keeps the per-sample schema regardless
-    of ``batch``, so any run can resume any other run's checkpoint —
-    including ``--jobs 1 --batch 1`` resuming a ``--batch 32`` run —
-    with bit-identical final statistics.  ``progress`` still counts
-    *samples*, not batches.  Budget caveats: the wall-clock budget is
-    checked between batches, so a run may overshoot ``max_seconds`` by
-    up to one batch; with ``jobs > 1``, sample failures inside a
-    successfully returned chunk reach ``max_failures`` accounting only
-    when the sweep completes.
+    The samples run through :func:`repro.exec.run_parallel_sweep` at
+    every setting: in-process at ``jobs=1``, else over a process pool
+    (the model must be picklable).  ``batch > 1`` is the dispatch
+    unit, solved by one batched transient when the model supports it
+    (module docstring).  Failures, the budget clock and ``progress``
+    (one ``advance`` per sample, ``note_restored`` for checkpointed
+    ones) stay per sample at every (jobs, batch); the budget is checked
+    per merged sample, though a batch already dispatched runs to its
+    end.  The checkpoint keeps the per-sample schema and is written
+    only by this process, so any run resumes any other's checkpoint.
+    A worker crash costs the one sample, not the sweep.  A ``policy``
+    (:class:`~repro.exec.SupervisionPolicy`) adds per-unit deadlines,
+    the hang watchdog, seeded retry and quarantine; quarantined samples
+    are counted as failed.
     """
     if count < 2:
         raise ConfigurationError("count must be >= 2")
-    if save_every < 1:
-        raise ConfigurationError("save_every must be >= 1")
-    if jobs < 1:
-        raise ConfigurationError("jobs must be >= 1")
     batch = _effective_batch(model, batch)
     children = np.random.SeedSequence(seed).spawn(count)
 
@@ -438,71 +250,30 @@ def run_monte_carlo_resumable(model: Callable[[np.random.Generator], float],
             if progress is not None and state["next"]:
                 progress.note_restored(state["next"])
 
-    supervised = policy is not None and policy.enabled
+    start = state["next"]
     exhausted: Optional[str] = None
-    if (jobs > 1 or supervised) and state["next"] < count:
-        exhausted = _run_mc_parallel(model, count, children, state,
-                                     checkpoint, budget, save_every, jobs,
-                                     progress=progress, policy=policy,
-                                     batch=batch)
-    elif jobs == 1 and batch > 1 and state["next"] < count:
-        clock = BudgetClock(budget)
-        clock.failures = len(state["failed"])
-        dirty = 0
-        index = state["next"]
-        while index < count:
-            exhausted = clock.exhausted()
-            if exhausted is not None:
-                break
-            stop = min(count, index + batch)
-            outcomes = eval_model_batch(
-                model, [np.random.default_rng(children[i])
-                        for i in range(index, stop)])
-            for offset, (ok, value) in enumerate(outcomes):
-                if ok:
-                    state["samples"].append(float(value))
-                    if progress is not None:
-                        progress.advance(completed=1)
-                else:
-                    state["failed"].append(index + offset)
-                    clock.fail()
-                    if progress is not None:
-                        progress.advance(failed=1)
-            dirty += stop - index
-            index = stop
-            state["next"] = index
-            if checkpoint is not None and dirty >= save_every:
-                checkpoint.save(state)
-                dirty = 0
-        if checkpoint is not None and dirty:
-            checkpoint.save(state)
-    elif jobs == 1 and state["next"] < count:
-        clock = BudgetClock(budget)
-        clock.failures = len(state["failed"])
-        dirty = 0
-        index = state["next"]
-        while index < count:
-            exhausted = clock.exhausted()
-            if exhausted is not None:
-                break
-            try:
-                value = float(model(np.random.default_rng(children[index])))
-            except ReproError:
-                state["failed"].append(index)
-                clock.fail()
-                if progress is not None:
-                    progress.advance(failed=1)
-            else:
-                state["samples"].append(value)
-                if progress is not None:
-                    progress.advance(completed=1)
-            index += 1
-            state["next"] = index
-            dirty += 1
-            if checkpoint is not None and dirty >= save_every:
-                checkpoint.save(state)
-                dirty = 0
-        if checkpoint is not None and dirty:
+    if budget is not None and budget.max_failures is not None:
+        # Failures restored from the checkpoint count against the budget.
+        budget = dataclasses.replace(
+            budget, max_failures=budget.max_failures - len(state["failed"]))
+    if start < count:
+        fn = _BatchedEval() if batch > 1 else _mc_eval
+        outcome = run_parallel_sweep(
+            [(str(index), fn, (model, children[index]))
+             for index in range(start, count)],
+            jobs=jobs,
+            checkpoint=(_SequentialStateCheckpoint(checkpoint, state)
+                        if checkpoint is not None else None),
+            budget=budget, save_every=save_every,
+            chunk_size=batch if batch > 1 else None,
+            progress=progress, policy=policy)
+        # The ordered merge makes the attempted samples a prefix.
+        state["samples"].extend(outcome.results.values())
+        state["failed"].extend(sorted(
+            int(key) for key in outcome.failures + outcome.quarantined))
+        state["next"] = start + outcome.attempted
+        exhausted = outcome.exhausted
+        if checkpoint is not None:
             checkpoint.save(state)
 
     samples = np.asarray(state["samples"], dtype=float)

@@ -12,12 +12,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.checkpoint import (Checkpoint, RunBudget, run_sweep)
+from repro.checkpoint import Checkpoint, RunBudget
 from repro.core.designspace import (sweep_retention,
                                     sweep_retention_resumable,
                                     sweep_sizes, sweep_sizes_resumable)
 from repro.core.optimizer import DesignOptimizer
 from repro.errors import ConfigurationError, SimulationError
+from repro.exec import run_parallel_sweep
 from repro.obs import config_fingerprint
 from repro.units import kb, ms, us
 from repro.variability.montecarlo import (run_monte_carlo,
@@ -69,20 +70,20 @@ class TestCheckpointFile:
 
 class TestRunSweep:
     def test_completes_and_keeps_order(self):
-        outcome = run_sweep([(k, lambda k=k: ord(k)) for k in "abc"])
+        outcome = run_parallel_sweep([(k, ord, (k,)) for k in "abc"])
         assert list(outcome.results) == ["a", "b", "c"]
         assert outcome.complete
         assert outcome.describe() == "3/3 completed"
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_sweep([("a", lambda: 1), ("a", lambda: 2)])
+            run_parallel_sweep([("a", int, (1,)), ("a", int, (2,))])
 
     def test_failures_recorded_not_raised(self):
         def boom():
             raise SimulationError("diverged")
-        outcome = run_sweep([("ok", lambda: 1), ("bad", boom),
-                             ("ok2", lambda: 2)])
+        outcome = run_parallel_sweep([("ok", int, (1,)), ("bad", boom, ()),
+                                      ("ok2", int, (2,))])
         assert outcome.failures == ("bad",)
         assert outcome.completed == 2
         assert outcome.attempted == 3
@@ -91,15 +92,15 @@ class TestRunSweep:
     def test_budget_max_failures_stops_sweep(self):
         def boom():
             raise SimulationError("diverged")
-        outcome = run_sweep([("a", boom), ("b", boom),
-                             ("c", lambda: 3)],
-                            budget=RunBudget(max_failures=2))
+        outcome = run_parallel_sweep([("a", boom, ()), ("b", boom, ()),
+                                      ("c", int, (3,))],
+                                     budget=RunBudget(max_failures=2))
         assert outcome.exhausted == "max_failures"
         assert "c" not in outcome.results
 
     def test_budget_max_seconds_stops_immediately(self):
-        outcome = run_sweep([("a", lambda: 1)],
-                            budget=RunBudget(max_seconds=0.0))
+        outcome = run_parallel_sweep([("a", int, (1,))],
+                                     budget=RunBudget(max_seconds=0.0))
         assert outcome.exhausted == "max_seconds"
         assert outcome.completed == 0
 
@@ -107,14 +108,14 @@ class TestRunSweep:
         calls = []
 
         def items():
-            return [(k, lambda k=k: calls.append(k) or ord(k))
+            return [(k, lambda k: calls.append(k) or ord(k), (k,))
                     for k in "abcde"]
 
         # "Kill" after two items via a failure budget on a poisoned run:
         # simpler — run with max_seconds=0 after pre-seeding 2 items.
-        first = run_sweep(items()[:2], checkpoint=ckpt)
+        first = run_parallel_sweep(items()[:2], checkpoint=ckpt)
         assert first.completed == 2
-        resumed = run_sweep(items(), checkpoint=ckpt)
+        resumed = run_parallel_sweep(items(), checkpoint=ckpt)
         assert resumed.complete
         assert resumed.results == {k: ord(k) for k in "abcde"}
         # The first two items were restored, not re-evaluated.

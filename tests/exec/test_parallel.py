@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.checkpoint import Checkpoint, RunBudget, run_sweep
+from repro.checkpoint import Checkpoint, RunBudget
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec import run_parallel_sweep
 from repro.variability.montecarlo import (
@@ -90,11 +90,10 @@ class TestDeterminism:
         assert one.results == big.results
 
     def test_jobs_one_is_the_serial_harness(self):
-        import functools
-        thunks = [(key, functools.partial(fn, *args))
+        thunks = [(key, lambda fn=fn, args=args: fn(*args), ())
                   for key, fn, args in items_of(square)]
         assert (run_parallel_sweep(items_of(square), jobs=1).results
-                == run_sweep(thunks).results)
+                == run_parallel_sweep(thunks).results)
 
 
 # -- failure isolation -------------------------------------------------------

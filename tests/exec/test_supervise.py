@@ -19,8 +19,7 @@ from repro import obs
 from repro.checkpoint import Checkpoint, RunBudget
 from repro.errors import ConfigurationError, DeadlineExceeded, SimulationError
 from repro.exec import (SupervisionPolicy, run_parallel_sweep,
-                        run_supervised_sweep, sample_deadline, tick,
-                        trap_termination)
+                        sample_deadline, tick, trap_termination)
 
 # -- picklable work functions ------------------------------------------------
 
@@ -106,9 +105,7 @@ class TestPolicy:
     def test_validate_rejects_nonsense(self):
         for bad in (SupervisionPolicy(max_sample_seconds=-1.0),
                     SupervisionPolicy(hang_seconds=0.0),
-                    SupervisionPolicy(max_retries=-1),
-                    SupervisionPolicy(backoff_factor=0.0),
-                    SupervisionPolicy(jitter_fraction=2.0)):
+                    SupervisionPolicy(max_retries=-1)):
             with pytest.raises(ConfigurationError):
                 bad.validate()
 
@@ -131,21 +128,21 @@ class TestSerialSupervision:
     POLICY = SupervisionPolicy(max_retries=2, seed=7)
 
     def test_fault_free_matches_unsupervised(self):
-        supervised = run_supervised_sweep(items_of(square), self.POLICY)
+        supervised = run_parallel_sweep(items_of(square), policy=self.POLICY)
         plain = run_parallel_sweep(items_of(square), jobs=1)
         assert dict(supervised.results) == dict(plain.results)
         assert supervised.complete
 
     def test_fail_once_retries_to_bit_identical(self, tmp_path):
-        outcome = run_supervised_sweep(
-            keyed_items_of(fail_once, tmp_path), self.POLICY)
+        outcome = run_parallel_sweep(
+            keyed_items_of(fail_once, tmp_path), policy=self.POLICY)
         assert dict(outcome.results) == CLEAN
         assert outcome.failures == () and outcome.quarantined == ()
 
     def test_exhausted_retries_is_plain_failure_not_quarantine(self):
-        outcome = run_supervised_sweep(
+        outcome = run_parallel_sweep(
             [("bad", always_fail, (0,)), ("ok", square, (2,))],
-            self.POLICY)
+            policy=self.POLICY)
         # A ReproError-only history is a model failure, not a process
         # fault: recorded as failed, never quarantined.
         assert outcome.failures == ("bad",)
@@ -154,9 +151,9 @@ class TestSerialSupervision:
 
     def test_cooperative_deadline_quarantines(self):
         policy = SupervisionPolicy(max_sample_seconds=0.15, seed=7)
-        outcome = run_supervised_sweep(
+        outcome = run_parallel_sweep(
             [("slow", slow_cooperative, (1, 10.0)),
-             ("fast", square, (3,))], policy)
+             ("fast", square, (3,))], policy=policy)
         assert outcome.quarantined == ("slow",)
         assert outcome.results == {"fast": 9}
         assert [t.kind for t in outcome.timeouts] == ["deadline"]
@@ -164,8 +161,8 @@ class TestSerialSupervision:
 
     def test_retry_events_are_emitted(self, tmp_path):
         with obs.instrumented() as registry:
-            run_supervised_sweep(keyed_items_of(fail_once, tmp_path),
-                                 self.POLICY)
+            run_parallel_sweep(keyed_items_of(fail_once, tmp_path),
+                               policy=self.POLICY)
             kinds = obs.events().kinds()
         assert kinds.get("exec.supervise.retry", 0) == 8
         assert registry.snapshot()["counters"].get(
@@ -197,8 +194,8 @@ class TestParallelSupervision:
     POLICY = SupervisionPolicy(hang_seconds=0.6, max_retries=2, seed=7)
 
     def test_fault_free_matches_serial(self):
-        parallel = run_supervised_sweep(items_of(square), self.POLICY,
-                                        jobs=2)
+        parallel = run_parallel_sweep(items_of(square), jobs=2,
+                                      policy=self.POLICY)
         assert dict(parallel.results) == CLEAN
         assert parallel.complete
 
@@ -209,14 +206,14 @@ class TestParallelSupervision:
         # would run an unspent crash marker in the parent process.)
         items = [(f"k{i}", square, (i,)) for i in range(8)]
         items[5] = ("k5", crash_once, (5, "k5", str(tmp_path)))
-        outcome = run_supervised_sweep(items, self.POLICY, jobs=2)
+        outcome = run_parallel_sweep(items, jobs=2, policy=self.POLICY)
         assert dict(outcome.results) == CLEAN
         assert outcome.quarantined == ()
 
     def test_hang_once_is_killed_and_retried(self, tmp_path):
         items = [(f"k{i}", square, (i,)) for i in range(6)]
         items[3] = ("k3", hang_once, (3, "k3", str(tmp_path)))
-        outcome = run_supervised_sweep(items, self.POLICY, jobs=2)
+        outcome = run_parallel_sweep(items, jobs=2, policy=self.POLICY)
         assert outcome.results["k3"] == 9
         assert outcome.quarantined == ()
         assert any(t.kind == "hang" and t.key == "k3"
@@ -226,7 +223,7 @@ class TestParallelSupervision:
         items = [(f"k{i}", square, (i,)) for i in range(6)]
         items[2] = ("k2", always_hang, (2,))
         policy = SupervisionPolicy(hang_seconds=0.5, max_retries=1, seed=7)
-        outcome = run_supervised_sweep(items, policy, jobs=2)
+        outcome = run_parallel_sweep(items, jobs=2, policy=policy)
         assert outcome.quarantined == ("k2",)
         assert set(outcome.results) == {f"k{i}" for i in range(6)} - {"k2"}
         assert not outcome.complete
@@ -235,8 +232,8 @@ class TestParallelSupervision:
     def test_telemetry_of_final_attempt_only(self, tmp_path):
         policy = SupervisionPolicy(max_retries=2, seed=7)
         with obs.instrumented():
-            outcome = run_supervised_sweep(
-                items_of(emitting, count=6), policy, jobs=2)
+            outcome = run_parallel_sweep(
+                items_of(emitting, count=6), jobs=2, policy=policy)
             ticks = [e for e in obs.events().events()
                      if e.kind == "test.tick"]
         assert outcome.complete
@@ -267,29 +264,30 @@ class TestRetryDeterminismAcrossResume:
         # First run: no retries allowed, so the injected single failure
         # retires k3; everything else lands in the checkpoint — the
         # state a kill between attempts would leave behind.
-        first = run_supervised_sweep(
-            self._one_flaky(marker_dir),
-            SupervisionPolicy(max_retries=0, retry_failures=False,
-                              hang_seconds=5.0, seed=7),
-            jobs=jobs, checkpoint=ckpt, save_every=1)
+        first = run_parallel_sweep(
+            self._one_flaky(marker_dir), jobs=jobs,
+            policy=SupervisionPolicy(max_retries=0, hang_seconds=5.0,
+                                     seed=7),
+            checkpoint=ckpt, save_every=1)
         assert first.failures == ("k3",)
         assert len(first.results) == 7
         # Resume: only k3 is re-attempted (its marker is spent),
         # completing the sweep bit-identically to a clean run.
-        resumed = run_supervised_sweep(
-            self._one_flaky(marker_dir),
-            SupervisionPolicy(max_retries=1, hang_seconds=5.0, seed=7),
-            jobs=jobs, checkpoint=ckpt)
+        resumed = run_parallel_sweep(
+            self._one_flaky(marker_dir), jobs=jobs,
+            policy=SupervisionPolicy(max_retries=1, hang_seconds=5.0,
+                                     seed=7),
+            checkpoint=ckpt)
         assert dict(resumed.results) == self._clean()
         assert resumed.complete
         assert ckpt.load() == self._clean()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_retried_equals_uninjected(self, tmp_path, jobs):
-        injected = run_supervised_sweep(
-            keyed_items_of(fail_once, tmp_path),
-            SupervisionPolicy(max_retries=1, hang_seconds=5.0, seed=7),
-            jobs=jobs)
+        injected = run_parallel_sweep(
+            keyed_items_of(fail_once, tmp_path), jobs=jobs,
+            policy=SupervisionPolicy(max_retries=1, hang_seconds=5.0,
+                                     seed=7))
         assert dict(injected.results) == self._clean()
 
 
@@ -315,9 +313,9 @@ class TestInterruption:
         assert ckpt.load() == {f"k{i}": i * i for i in range(4)}
 
     def test_supervised_serial_interrupt(self):
-        outcome = run_supervised_sweep(
+        outcome = run_parallel_sweep(
             items_of(interrupting),
-            SupervisionPolicy(max_retries=1, seed=7))
+            policy=SupervisionPolicy(max_retries=1, seed=7))
         assert outcome.interrupted
         assert dict(outcome.results) == {f"k{i}": i * i for i in range(4)}
 
@@ -340,18 +338,53 @@ class TestInterruption:
 class TestValidation:
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_supervised_sweep([("a", square, (1,)),
-                                  ("a", square, (2,))],
-                                 SupervisionPolicy(max_retries=1))
+            run_parallel_sweep([("a", square, (1,)),
+                                ("a", square, (2,))],
+                               policy=SupervisionPolicy(max_retries=1))
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_supervised_sweep([("a", square, (1,))],
-                                 SupervisionPolicy(max_retries=1), jobs=0)
+            run_parallel_sweep([("a", square, (1,))], jobs=0,
+                               policy=SupervisionPolicy(max_retries=1))
 
     def test_budget_still_enforced(self):
-        outcome = run_supervised_sweep(
-            items_of(square), SupervisionPolicy(max_retries=1),
+        outcome = run_parallel_sweep(
+            items_of(square), policy=SupervisionPolicy(max_retries=1),
             budget=RunBudget(max_seconds=0.0))
         assert outcome.exhausted == "max_seconds"
         assert outcome.completed == 0
+
+
+# -- dispatch units under supervision ------------------------------------------
+
+
+class TestDispatchUnits:
+    """Deadline and hang apply per dispatch unit; a struck multi-item
+    unit re-runs its items alone and uncharged."""
+
+    def test_retry_policy_honours_chunk_size(self, tmp_path):
+        outcome = run_parallel_sweep(
+            keyed_items_of(fail_once, tmp_path), jobs=2, chunk_size=4,
+            policy=SupervisionPolicy(max_retries=1, seed=7))
+        assert dict(outcome.results) == CLEAN
+        assert outcome.failures == () and outcome.quarantined == ()
+
+    def test_unit_deadline_charges_only_the_lone_slow_item(self):
+        items = [("a", square, (1,)), ("slow", slow_cooperative, (2, 10.0)),
+                 ("b", square, (3,))]
+        outcome = run_parallel_sweep(
+            items, chunk_size=3,
+            policy=SupervisionPolicy(max_sample_seconds=0.15, seed=7))
+        assert outcome.results == {"a": 1, "b": 9}
+        assert outcome.quarantined == ("slow",)
+        assert [(t.key, t.kind) for t in outcome.timeouts] == [
+            ("slow", "deadline")]
+
+    def test_hung_unit_is_split_and_rerun(self, tmp_path):
+        items = [(f"k{i}", square, (i,)) for i in range(8)]
+        items[1] = ("k1", hang_once, (1, "k1", str(tmp_path)))
+        outcome = run_parallel_sweep(
+            items, jobs=2, chunk_size=4,
+            policy=SupervisionPolicy(hang_seconds=0.5, seed=7))
+        assert dict(outcome.results) == CLEAN
+        assert outcome.quarantined == () and outcome.failures == ()

@@ -16,8 +16,7 @@ import pytest
 from repro import obs
 from repro.cells.dram1t1c import Dram1t1cCell
 from repro.checkpoint import Checkpoint, RunBudget
-from repro.errors import ConfigurationError
-from repro.obs.progress import BatchSampleProgress
+from repro.errors import ConfigurationError, SimulationError
 from repro.units import ns, ps
 from repro.variability.localblock_mc import LocalBlockMcModel
 from repro.variability.montecarlo import (run_monte_carlo,
@@ -154,21 +153,42 @@ class TestCheckpointCompat:
         assert outcome.completed == 0
 
 
-class TestBatchSampleProgress:
-    def test_item_advances_scale_to_samples(self):
-        inner = _RecordingProgress()
-        progress = BatchSampleProgress(inner, [3, 3, 2])
-        progress.advance(completed=1)
-        progress.advance(completed=1)
-        assert inner.completed == 6
-        progress.advance(failed=1)  # whole last chunk fails
-        assert inner.failed == 2
-        assert inner.completed == 6
 
-    def test_note_restored_counts_samples(self):
-        inner = _RecordingProgress()
-        progress = BatchSampleProgress(inner, [4, 4, 1])
-        progress.note_restored(2)
-        assert inner.restored == 8
-        progress.advance(completed=1)  # the remaining 1-sample chunk
-        assert inner.completed == 1
+class _FlakyLocalBlock(LocalBlockMcModel):
+    """Fails deterministically per stream: on an even picosecond count."""
+
+    def measure(self, result, params):
+        value = super().measure(result, params)
+        if int(value * 1e12) % 2 == 0:
+            raise SimulationError("flaky local block")
+        return value
+
+
+class TestBudgetPerSample:
+    """``max_failures`` and the progress line count samples, not
+    dispatch units, at every (jobs, batch)."""
+
+    @staticmethod
+    def run(jobs: int, batch: int):
+        model = _FlakyLocalBlock(Dram1t1cCell.scratchpad(), cells_per_lbl=2,
+                                 t_stop=0.05 * ns, dt=1.0 * ps)
+        progress = _RecordingProgress()
+        outcome = run_monte_carlo_resumable(
+            model, 12, seed=3, jobs=jobs, batch=batch, progress=progress,
+            budget=RunBudget(max_failures=1))
+        return outcome, progress
+
+    @pytest.mark.parametrize("jobs,batch", [(1, 1), (1, 4), (2, 1), (2, 4)])
+    def test_max_failures_and_progress_per_sample(self, jobs, batch):
+        reference, _ = self.run(1, 1)
+        assert reference.exhausted == "max_failures"
+        outcome, progress = self.run(jobs, batch)
+        assert ((outcome.requested, outcome.attempted, outcome.completed,
+                 outcome.failed, outcome.exhausted)
+                == (reference.requested, reference.attempted,
+                    reference.completed, reference.failed,
+                    reference.exhausted))
+        assert (outcome.result.samples.tobytes()
+                == reference.result.samples.tobytes())
+        assert (progress.completed, progress.failed) == (outcome.completed,
+                                                         outcome.failed)
